@@ -40,7 +40,6 @@ from .solver import SolverConfig, SolutionCluster, manifold_dimension, solve_all
 from .braiding import (
     BraidRepresentation,
     BraidWord,
-    build_braid_operator,
     canonical_word,
     check_representation,
     compose_braid,

@@ -24,7 +24,7 @@ import numpy as np
 from .constraints import CoefficientVector, FZCParams, fzc_coefficients, unitarity_residual
 from .parafermions import ParafermionSystem, all_parities, build_parafermions, overall_parity, parity_eigenbasis
 from .phases import CyclotomicPhase, phase_from_complex
-from .systems import DenseOperator, equal_up_to_phase
+from .systems import DenseOperator, embed_vector, equal_up_to_phase
 
 COEFF_TOL = 1e-9
 BUILD_TOL = 1e-12
@@ -185,10 +185,6 @@ class BraidRepresentation:
         return self.generators[i - 1]
 
 
-def build_braid_operator(rep: BraidRepresentation, i: int) -> DenseOperator:
-    return rep.generator(i)
-
-
 def compose_braid(rep: BraidRepresentation, word: BraidWord) -> DenseOperator:
     """Unitary of a braid word under the time-order convention."""
     if word.max_index() > len(rep.generators):
@@ -318,7 +314,7 @@ def diagonal_phases(rep: BraidRepresentation, i: int = 1) -> DiagonalPhases:
     worst = 0.0
     for k in range(d):
         local = basis.vector(k)
-        full = _embed_vector(rep, basis.qudit, local)
+        full = embed_vector(rep.system.system, basis.qudit, local)
         diff = u.mat @ full - phases[k] * full
         worst = max(worst, float(np.max(np.abs(diff))))
 
@@ -331,13 +327,3 @@ def diagonal_phases(rep: BraidRepresentation, i: int = 1) -> DiagonalPhases:
     pref_residual = abs(phases[0] - pref.as_complex())
     relation = float(np.max(np.abs(phases - np.conj(c) * phases[0])))
     return DiagonalPhases(phases, worst, pref, relation, pref_residual)
-
-
-def _embed_vector(rep: BraidRepresentation, qudit: int, local: np.ndarray) -> np.ndarray:
-    """Tensor a single-qudit vector with |0> on every other qudit."""
-    d, n = rep.system.d, rep.system.n_pairs
-    vec = np.array([1.0], dtype=complex)
-    for q in range(1, n + 1):
-        factor = local if q == qudit else np.eye(d, dtype=complex)[:, 0]
-        vec = np.kron(vec, factor)
-    return vec

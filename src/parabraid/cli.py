@@ -15,7 +15,8 @@ import numpy as np
 from . import report as rep
 from .braiding import BraidRepresentation, BraidWord, canonical_word, check_representation, \
     conjugation_action, diagonal_phases
-from .clifford import ClosureLimitError, closure, reference_generators
+from .clifford import DEFAULT_CLOSURE_LIMIT, ClosureLimitError, check_key_width, closure, \
+    reference_generators
 from .constraints import (
     CoefficientVector,
     all_fzc_params,
@@ -31,7 +32,7 @@ from .parafermions import build_parafermions, check_defining_relations, check_pa
     parity, parity_eigenbasis
 from .report import Check, RunReport, count_check, flag_check
 from .solver import SolverConfig, solve_all
-from .systems import SizeBoundError, controlled_phase, controlled_shift, \
+from .systems import SizeBoundError, controlled_phase, controlled_shift, embed_vector, \
     equal_up_to_phase, pauli_x, pauli_z
 
 DEFAULT_SEED = 12345
@@ -72,10 +73,7 @@ def cmd_algebra(d: int, pairs: int) -> RunReport:
         basis = parity_eigenbasis(sys_, i)
         lam = parity(sys_, i)
         for m in range(d):
-            local = basis.vector(m)
-            vec = np.array([1.0], dtype=complex)
-            for q in range(1, pairs + 1):
-                vec = np.kron(vec, local if q == basis.qudit else np.eye(d)[:, 0])
+            vec = embed_vector(sys_.system, basis.qudit, basis.vector(m))
             basis_res = max(basis_res, float(np.max(np.abs(
                 lam.mat @ vec - np.exp(2j * np.pi * m / d) * vec))))
     out.add(Check("parity_eigenbasis_action", basis_res, 1e-12))
@@ -207,6 +205,7 @@ def cmd_gates(d: int, r: int, braid: str) -> tuple[RunReport, dict]:
 
 
 def cmd_clifford(d: int, n: int, generators: str, limit: int) -> tuple[RunReport, dict]:
+    check_key_width(d, n)
     out = RunReport("clifford", {"d": d, "n": n, "generators": generators})
     t0 = time.perf_counter()
     gens = braid_generator_tableaux(d, n) if generators == "braid" else reference_generators(d, n)
@@ -271,28 +270,19 @@ def cmd_entangling(d: int) -> RunReport:
 
 
 def cmd_report_all(d_max: int, seed: int, out_path: str, md_path: str | None,
-                   two_qudit_closure: bool, jobs: int = 1) -> tuple[int, list[RunReport]]:
-    tasks = []
+                   two_qudit_closure: bool) -> tuple[int, list[RunReport]]:
+    suites = []
     for d in range(2, d_max + 1):
-        tasks.append(lambda d=d: cmd_algebra(d, 2))
-        tasks.append(lambda d=d: cmd_fzc(d))
+        suites.append(cmd_algebra(d, 2))
+        suites.append(cmd_fzc(d))
     for d in range(2, min(d_max, 4) + 1):
-        tasks.append(lambda d=d: cmd_solve(d, DEFAULT_RESTARTS_FOR_REPORT, seed)[0])
+        suites.append(cmd_solve(d, DEFAULT_RESTARTS_FOR_REPORT, seed)[0])
     for d in range(2, d_max + 1):
-        tasks.append(lambda d=d: cmd_gates(d, 0, "F")[0])
-        tasks.append(lambda d=d: cmd_entangling(d))
-        tasks.append(lambda d=d: cmd_clifford(d, 1, "braid", 10_000_000)[0])
+        suites.append(cmd_gates(d, 0, "F")[0])
+        suites.append(cmd_entangling(d))
+        suites.append(cmd_clifford(d, 1, "braid", DEFAULT_CLOSURE_LIMIT)[0])
     if two_qudit_closure:
-        tasks.append(lambda: cmd_clifford(3, 2, "braid", 10_000_000)[0])
-
-    if jobs > 1:
-        # suites are pure computations; results are collected in task order
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            suites = list(pool.map(lambda thunk: thunk(), tasks))
-    else:
-        suites = [thunk() for thunk in tasks]
+        suites.append(cmd_clifford(3, 2, "braid", DEFAULT_CLOSURE_LIMIT)[0])
 
     aggregate = rep.aggregate_json(d_max, seed, suites)
     schema_errors = rep.validate_schema(aggregate, rep.load_schema())
@@ -342,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_dimension, required=True)
     p.add_argument("--n", type=int, choices=(1, 2), default=1)
     p.add_argument("--generators", choices=("braid", "reference"), default="braid")
-    p.add_argument("--limit", type=int, default=10_000_000)
+    p.add_argument("--limit", type=int, default=DEFAULT_CLOSURE_LIMIT)
     p.add_argument("--json", type=str, default=None)
 
     p = sub.add_parser("report-all", help="run the verification matrix and write reports")
@@ -352,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--md", type=str, default=None)
     p.add_argument("--two-qudit-closure", action="store_true",
                    help="include the d=3 two-qudit closure certificate (minutes)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="run suites on N worker threads (default sequential)")
     return parser
 
 
@@ -386,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
             return _emit(report, args.json, payload)
         if args.command == "report-all":
             code, suites = cmd_report_all(args.d_max, args.seed, args.out, args.md,
-                                          args.two_qudit_closure, args.jobs)
+                                          args.two_qudit_closure)
             for suite in suites:
                 print(f"[{'PASS' if suite.passed else 'FAIL'}] {suite.command} "
                       f"{suite.parameters} ({suite.wall_time_ms:.0f} ms)", file=sys.stderr)

@@ -19,7 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import DenseOperator, QuditSystem, fourier_gate, controlled_shift, pauli_x, pauli_z
+from .systems import (
+    DenseOperator,
+    QuditSystem,
+    controlled_shift,
+    embed,
+    fourier_gate,
+    pauli_monomial,
+    pauli_x,
+    pauli_z,
+)
 
 MEMBERSHIP_TOL = 1e-9
 DEFAULT_CLOSURE_LIMIT = 10_000_000
@@ -93,16 +102,7 @@ class PauliLabel:
         return self.x + self.z
 
     def to_matrix(self) -> np.ndarray:
-        d = self.d
-        shift = np.zeros((d, d), dtype=complex)
-        for k in range(d):
-            shift[(k + 1) % d, k] = 1.0
-        clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-        out = np.array([[1.0 + 0j]])
-        for a, b in zip(self.x, self.z):
-            local = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-            out = np.kron(out, local)
-        return self.phase_value() * out
+        return self.phase_value() * pauli_monomial(QuditSystem(self.d, self.n), self.x, self.z).mat
 
 
 def symplectic_product(u: tuple[int, ...], v: tuple[int, ...], d: int, n: int) -> int:
@@ -110,6 +110,13 @@ def symplectic_product(u: tuple[int, ...], v: tuple[int, ...], d: int, n: int) -
     ux, uz = u[:n], u[n:]
     vx, vz = v[:n], v[n:]
     return (sum(a * b for a, b in zip(uz, vx)) - sum(a * b for a, b in zip(vz, ux))) % d
+
+
+def _symplectic_form(n: int) -> np.ndarray:
+    """Integer matrix J with symplectic_product(u, v) = u^T J v (mod d)."""
+    eye = np.eye(n, dtype=np.int64)
+    zero = np.zeros((n, n), dtype=np.int64)
+    return np.block([[zero, -eye], [eye, zero]])
 
 
 def extract_pauli_monomial(mat: np.ndarray, d: int, n: int,
@@ -147,31 +154,6 @@ def extract_pauli_monomial(mat: np.ndarray, d: int, n: int,
     if float(np.max(np.abs(mat - label.to_matrix()))) > tol:
         return None
     return label
-
-
-def _det_int(m: list[list[int]]) -> int:
-    size = len(m)
-    if size == 1:
-        return m[0][0]
-    total = 0
-    for col in range(size):
-        minor = [row[:col] + row[col + 1:] for row in m[1:]]
-        total += (-1) ** col * m[0][col] * _det_int(minor)
-    return total
-
-
-def _matrix_inverse_mod(m: np.ndarray, d: int) -> np.ndarray:
-    """Exact inverse of an integer matrix mod d via the adjugate."""
-    size = m.shape[0]
-    rows = [[int(v) for v in row] for row in m]
-    det = _det_int(rows) % d
-    det_inv = pow(det, -1, d)
-    adj = np.zeros((size, size), dtype=np.int64)
-    for i in range(size):
-        for j in range(size):
-            minor = [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
-            adj[j, i] = (-1) ** (i + j) * _det_int(minor)
-    return (adj * det_inv) % d
 
 
 @dataclass(frozen=True)
@@ -234,7 +216,9 @@ class CliffordTableau:
         return tuple(img.phase for img in self.images)
 
     def inverse(self) -> "CliffordTableau":
-        m_inv = _matrix_inverse_mod(self.symplectic_matrix(), self.d)
+        # A symplectic M satisfies M^T J M = J, so M^-1 = -J M^T J (mod d).
+        form = _symplectic_form(self.n)
+        m_inv = (-form @ self.symplectic_matrix().T @ form) % self.d
         images = []
         for j in range(2 * self.n):
             vec = tuple(int(v) for v in m_inv[:, j])
@@ -310,14 +294,9 @@ def reference_generators(d: int, n: int) -> list[CliffordTableau]:
     if n == 1:
         mats = [qp, fg]
     else:
-        eye = np.eye(d)
-        mats = [
-            DenseOperator(np.kron(qp.mat, eye), d, 2),
-            DenseOperator(np.kron(fg.mat, eye), d, 2),
-            DenseOperator(np.kron(eye, qp.mat), d, 2),
-            DenseOperator(np.kron(eye, fg.mat), d, 2),
-            controlled_shift(d),
-        ]
+        system = QuditSystem(d, 2)
+        mats = [embed(system, q, gate.mat) for q in (1, 2) for gate in (qp, fg)]
+        mats.append(controlled_shift(d))
     out = []
     for mat in mats:
         tab = clifford_membership(mat)
@@ -329,10 +308,27 @@ def reference_generators(d: int, n: int) -> list[CliffordTableau]:
 
 # ----- vectorized closure over packed tableau keys -----
 
+def _column_space(d: int, n: int) -> int:
+    return d ** (2 * n) * 2 * d
+
+
+def check_key_width(d: int, n: int) -> None:
+    """Raise ValueError unless packed closure keys at (d, n) fit in int64.
+
+    A key has 2n base-col_space digits, so it fits iff col_space**(2n) <= 2**63.
+    """
+    if _column_space(d, n) ** (2 * n) <= 2**63:
+        return
+    d_max = d - 1
+    while _column_space(d_max, n) ** (2 * n) > 2**63:
+        d_max -= 1
+    raise ValueError(f"packed closure keys overflow int64 at d = {d}, n = {n}; "
+                     f"the largest supported d at n = {n} is {d_max}")
+
+
 def _pack_params(d: int, n: int) -> tuple[int, int, int]:
-    vec_space = d ** (2 * n)
-    col_space = vec_space * 2 * d
-    return vec_space, 2 * d, col_space
+    check_key_width(d, n)
+    return d ** (2 * n), 2 * d, _column_space(d, n)
 
 
 def _vector_index(vec: tuple[int, ...], d: int) -> int:
@@ -381,7 +377,6 @@ class ClosureResult:
     keys: np.ndarray
     levels: int
     elapsed_ms: float
-    limited: bool = False
 
     def contains(self, tab: CliffordTableau) -> bool:
         key = tableau_key(tab)

@@ -33,6 +33,7 @@ from .systems import (
     controlled_shift,
     equal_up_to_phase,
     fourier_gate,
+    pauli_monomial,
     pauli_x,
     pauli_z,
 )
@@ -117,8 +118,8 @@ def restrict(enc: Encoding, op: DenseOperator) -> tuple[DenseOperator, float]:
         raise ValueError(f"operator dim {op.dim} does not match the full space {enc.full_dim}")
     e = enc.isometry
     restricted = DenseOperator(e.conj().T @ op.mat @ e, enc.d, enc.n_logical)
-    projector_complement = np.eye(enc.full_dim) - e @ e.conj().T
-    leakage = float(np.max(np.abs(projector_complement @ op.mat @ e)))
+    # (I - E Edag) A E = A E - E T(A): the part of A E outside the code space.
+    leakage = float(np.max(np.abs(op.mat @ e - e @ restricted.mat)))
     return restricted, leakage
 
 
@@ -151,13 +152,6 @@ def quadratic_phase_gate(enc: Encoding) -> DenseOperator:
     return DenseOperator(np.diag(phases), enc.d, 1)
 
 
-def _pauli_monomial(system: QuditSystem, x_exps, z_exps) -> DenseOperator:
-    out = DenseOperator.identity(system)
-    for q, (a, b) in enumerate(zip(x_exps, z_exps), start=1):
-        out = out @ pauli_x(system, q).power(a) @ pauli_z(system, q).power(b)
-    return out
-
-
 def gate_dictionary(enc: Encoding) -> list[tuple[str, DenseOperator]]:
     """Candidate gates, in the deterministic order used for identification."""
     d = enc.d
@@ -168,7 +162,7 @@ def gate_dictionary(enc: Encoding) -> list[tuple[str, DenseOperator]]:
             for b in range(d):
                 if a == b == 0:
                     continue
-                entries.append((f"X^{a}Z^{b}", _pauli_monomial(sys_, (a,), (b,))))
+                entries.append((f"X^{a}Z^{b}", pauli_monomial(sys_, (a,), (b,))))
         entries.append(("F", fourier_gate(d)))
         entries.append(("F_dagger", fourier_gate(d).dag()))
         entries.append(("quadratic_phase", quadratic_phase_gate(enc)))
@@ -187,7 +181,7 @@ def gate_dictionary(enc: Encoding) -> list[tuple[str, DenseOperator]]:
                             continue
                         entries.append((
                             f"X^{a1}Z^{b1}@X^{a2}Z^{b2}",
-                            _pauli_monomial(sys_, (a1, a2), (b1, b2)),
+                            pauli_monomial(sys_, (a1, a2), (b1, b2)),
                         ))
     return entries
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .phases import CyclotomicPhase
-from .systems import DenseOperator, QuditSystem, fourier_gate, pauli_x, pauli_z
+from .systems import DenseOperator, QuditSystem, fourier_gate, local_pauli, pauli_x, pauli_z
 
 BUILD_TOL = 1e-12
 
@@ -177,12 +177,10 @@ def parity_eigenbasis(sys_: ParafermionSystem, i: int) -> ParityEigenbasis:
         raise ValueError("eigenbasis is only provided for odd-indexed parities")
     d = sys_.d
     vectors = fourier_gate(d).mat.copy()
-    # Local sanity check: X^dag on the qudit acts diagonally on these columns.
-    xdag = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        xdag[k, (k + 1) % d] = 1.0
-    eigs = np.exp(2j * np.pi * np.arange(d) / d)
-    defect = float(np.max(np.abs(xdag @ vectors - vectors @ np.diag(eigs))))
+    # Local sanity check: X^dag on the qudit acts diagonally on these columns,
+    # with the eigenvalues omega**m of Z.
+    xdag = local_pauli(d, -1, 0)
+    defect = float(np.max(np.abs(xdag @ vectors - vectors @ local_pauli(d, 0, 1))))
     if defect > BUILD_TOL:
         raise AssertionError(f"eigenbasis construction defect {defect:.3e}")
     return ParityEigenbasis(d, qudit=(i + 1) // 2, vectors=vectors)

@@ -159,25 +159,36 @@ def embed(system: QuditSystem, i: int, local: np.ndarray) -> DenseOperator:
     return DenseOperator(kron_all([left, local, right]), system.d, system.n)
 
 
-def _x_matrix(d: int) -> np.ndarray:
-    x = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        x[(k + 1) % d, k] = 1.0
-    return x
+def embed_vector(system: QuditSystem, i: int, local: np.ndarray) -> np.ndarray:
+    """Place a single-qudit vector on qudit i (1-based), |0> on every other qudit."""
+    if not 1 <= i <= system.n:
+        raise IndexError(f"qudit index {i} out of range 1..{system.n}")
+    ground = np.eye(system.d)[:, 0]
+    return kron_all([local if q == i else ground for q in range(1, system.n + 1)])
 
 
-def _z_matrix(d: int) -> np.ndarray:
-    return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+def local_pauli(d: int, a: int, b: int) -> np.ndarray:
+    """Single-qudit X**a Z**b: |k> -> omega**(b*k) |k+a mod d>."""
+    k = np.arange(d)
+    out = np.zeros((d, d), dtype=complex)
+    out[(k + a) % d, k] = np.exp(2j * np.pi * (b * k % d) / d)
+    return out
 
 
 def pauli_x(system: QuditSystem, i: int) -> DenseOperator:
     """Cyclic shift X|k> = |k+1 mod d> on qudit i."""
-    return embed(system, i, _x_matrix(system.d))
+    return embed(system, i, local_pauli(system.d, 1, 0))
 
 
 def pauli_z(system: QuditSystem, i: int) -> DenseOperator:
     """Phase operator Z|k> = omega**k |k> on qudit i."""
-    return embed(system, i, _z_matrix(system.d))
+    return embed(system, i, local_pauli(system.d, 0, 1))
+
+
+def pauli_monomial(system: QuditSystem, x_exps, z_exps) -> DenseOperator:
+    """prod_i X_i**x_i Z_i**z_i, one factor per qudit."""
+    locals_ = [local_pauli(system.d, a, b) for a, b in zip(x_exps, z_exps)]
+    return DenseOperator(kron_all(locals_), system.d, system.n)
 
 
 def fourier_gate(d: int) -> DenseOperator:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from parabraid import cli
 from parabraid.cli import main
 from parabraid.report import load_schema, markdown_summary, validate_schema
 
@@ -32,6 +33,28 @@ def test_size_bound_usage_error():
     with pytest.raises(SystemExit) as err:
         run_cli(["algebra", "--d", "5", "--pairs", "9"])
     assert err.value.code == 2
+
+
+def test_clifford_key_overflow_is_usage_error(monkeypatch, capsys):
+    # d = 8 at n = 2 would wrap the int64 closure keys; refuse before building
+    # the 4096-dimensional encoding
+    def no_build(*args, **kwargs):
+        raise AssertionError("generators built before the key-width check")
+
+    monkeypatch.setattr(cli, "braid_generator_tableaux", no_build)
+    monkeypatch.setattr(cli, "reference_generators", no_build)
+    with pytest.raises(SystemExit) as err:
+        run_cli(["clifford", "--d", "8", "--n", "2"])
+    assert err.value.code == 2
+    assert "largest supported d at n = 2 is 7" in capsys.readouterr().err
+
+
+def test_report_all_rejects_jobs(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["report-all", "--d-max", "2", "--out", str(tmp_path / "r.json"),
+                 "--jobs", "2"])
+    assert err.value.code == 2
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_solve_json_interface(tmp_path, capsys):

@@ -5,6 +5,7 @@ from parabraid.clifford import (
     CliffordTableau,
     ClosureLimitError,
     PauliLabel,
+    check_key_width,
     clifford_membership,
     closure,
     extract_pauli_monomial,
@@ -13,7 +14,8 @@ from parabraid.clifford import (
     tableau_key,
 )
 from parabraid.encoding import braid_generator_tableaux
-from parabraid.systems import DenseOperator, QuditSystem, controlled_shift, fourier_gate, pauli_x
+from parabraid.systems import DenseOperator, QuditSystem, controlled_shift, fourier_gate, pauli_x, \
+    pauli_z
 
 from oracles import matrix_group_order, sl2_order
 
@@ -35,6 +37,12 @@ def test_label_algebra_matches_matrices(d, n):
                              - np.linalg.matrix_power(a.to_matrix(), k))) < 1e-11
         eye = np.eye(d ** n)
         assert np.max(np.abs((a * a.inverse()).to_matrix() - eye)) < 1e-12
+        # phase * prod_q X_q**x_q Z_q**z_q, built from the dense generators
+        system = QuditSystem(d, n)
+        product = DenseOperator.identity(system)
+        for q, (xq, zq) in enumerate(zip(a.x, a.z), start=1):
+            product = product @ pauli_x(system, q).power(xq) @ pauli_z(system, q).power(zq)
+        assert np.max(np.abs(a.to_matrix() - a.phase_value() * product.mat)) < 1e-12
 
 
 def test_extract_pauli_monomial_roundtrip():
@@ -106,11 +114,20 @@ def test_composition_faithful_on_braid_gates():
 
 
 def test_tableau_inverse_and_identity():
-    for d, n in ((2, 1), (3, 1), (4, 1), (3, 2)):
-        for tab in reference_generators(d, n):
-            eye = CliffordTableau.identity(d, n)
+    for d, n in ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2)):
+        eye = CliffordTableau.identity(d, n)
+        for tab in reference_generators(d, n) + braid_generator_tableaux(d, n):
             assert tab.inverse().compose(tab).key() == eye.key()
             assert tab.compose(tab.inverse()).key() == eye.key()
+
+
+def test_closure_keys_reject_int64_overflow():
+    # two-qudit keys have four base-2d**5 digits: 7 is the largest d that fits
+    check_key_width(7, 2)
+    with pytest.raises(ValueError, match="largest supported d at n = 2 is 7"):
+        closure(reference_generators(8, 2))
+    with pytest.raises(ValueError, match="largest supported d at n = 2 is 7"):
+        tableau_key(CliffordTableau.identity(9, 2))
 
 
 def test_symplectic_condition_enforced():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parabraid.braiding import BraidWord, canonical_word, diagonal_phases
+from parabraid.braiding import BraidWord, canonical_word, compose_braid, diagonal_phases
 from parabraid.constraints import FZCParams, dft_prefactor
 from parabraid.encoding import (
     build_encoding,
@@ -220,3 +220,16 @@ def test_leakage_error_on_non_preserving_word():
     enc = build_encoding(3, 2, r=0)
     with pytest.raises(ValueError):
         identify_gate(enc, BraidWord.from_text("4"))
+
+
+def test_leakage_matches_projector_oracle():
+    # leakage is max|(I - E Edag) A E|; here the projector is built explicitly
+    enc = build_encoding(3, 2, r=0)
+    e = enc.isometry
+    complement = np.eye(enc.full_dim) - e @ e.conj().T
+    leaky = BraidWord.from_text("4")
+    for word in [leaky, *entangling_words(3).values()]:
+        op = compose_braid(enc.rep, word)
+        _, leakage = restrict(enc, op)
+        assert abs(leakage - float(np.max(np.abs(complement @ op.mat @ e)))) < 1e-12
+        assert (leakage > 1e-3) == (word == leaky)
