@@ -5,23 +5,30 @@ parameters.  The objective stacks the real and imaginary parts of every
 unitarity component (d of them) and every Yang-Baxter component (d**2),
 and each restart runs a Levenberg-Marquardt descent from a random start
 drawn uniformly from the complex disk of radius sqrt(d) per coordinate
-(solutions satisfy sum |c_m|**2 = d, so that scale brackets them).
+(solutions satisfy sum |c_m|**2 = d, so that scale brackets them).  The
+objective and its analytic Jacobian are closed-form numpy expressions over
+index and root-of-unity tables that depend on d alone and are built once
+per d (see _tables); scipy runs the per-restart descent.
 
 Converged points are re-checked through the plain residual definitions in
 `constraints` (a separate code path from the solver objective), gauge
-fixed, and greedily clustered in max-norm.  The local dimension of the
-solution manifold at a representative starts from the null space of the
-real Jacobian beyond the one direction that is always null (the global
-phase) and validates each candidate direction with a second-order probe;
-see manifold_dimension.  Everything is deterministic for a fixed seed:
-starts are drawn up front and processed in order, and cluster identity is
-first-come.
+fixed, and greedily clustered in max-norm: each point joins the first
+cluster, in creation order, whose representative lies within the cluster
+radius, with all distances to the representatives taken in one array
+operation.  The local dimension of the solution manifold at a
+representative starts from the null space of the real Jacobian beyond the
+one direction that is always null (the global phase) and validates each
+candidate direction with a second-order probe; see manifold_dimension.
+Everything is deterministic for a fixed seed: starts are drawn up front and
+processed in order, and cluster identity is first-come.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -54,8 +61,10 @@ class SolverConfig:
             raise ValueError(f"solver supports d in 2..6, got {self.d}")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
-        if not self.tol < self.cluster_radius:
-            raise ValueError("residual tolerance must be below the cluster radius")
+        if not (math.isfinite(self.cluster_radius) and 0.0 < self.tol < self.cluster_radius):
+            raise ValueError("residual tolerance must be positive and below a finite "
+                             f"cluster radius, got tol={self.tol}, "
+                             f"cluster_radius={self.cluster_radius}")
 
 
 def _split(c: np.ndarray) -> np.ndarray:
@@ -67,18 +76,45 @@ def _join(u: np.ndarray) -> np.ndarray:
     return u[:d] + 1j * u[d:]
 
 
+class _Tables(NamedTuple):
+    """Everything the residual and its Jacobian need that depends on d alone."""
+
+    idx: np.ndarray     # 0..d-1
+    plus: np.ndarray    # [r, j] -> (j + r) mod d
+    diff: np.ndarray    # [a, b] -> (a - b) mod d
+    wmat: np.ndarray    # [m, r] -> omega**(m r)
+    w_m: np.ndarray     # [k, m, j] -> omega**(m j) + omega**(m (k - j))
+    w_k: np.ndarray     # [k, m, j] -> omega**(k j) + omega**(k (m - j))
+
+
+@lru_cache(maxsize=None)
+def _tables(d: int) -> _Tables:
+    om = np.exp(2j * np.pi * np.arange(d) / d)
+    idx = np.arange(d)
+    k, m, j = idx[:, None, None], idx[None, :, None], idx[None, None, :]
+    tables = _Tables(
+        idx=idx,
+        plus=(idx[None, :] + idx[:, None]) % d,
+        diff=(idx[:, None] - idx[None, :]) % d,
+        wmat=om[(idx[:, None] * idx[None, :]) % d],
+        w_m=om[(m * j) % d] + om[(m * (k - j)) % d],
+        w_k=om[(k * j) % d] + om[(k * (m - j)) % d],
+    )
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
+
+
 def residual_stack(u: np.ndarray, d: int) -> np.ndarray:
     """Real residual vector of both constraint families at real parameters u."""
     c = _join(u)
-    om = np.exp(2j * np.pi * np.arange(d) / d)
-    idx = np.arange(d)
-    # unitarity components, r = 0..d-1
-    unit = np.array([np.sum(c * np.conj(np.roll(c, -r))) for r in range(d)])
+    t = _tables(d)
+    # unitarity components, r = 0..d-1: sum_j c_j conj(c_{j+r}) - d [r = 0]
+    unit = np.sum(c[None, :] * np.conj(c[t.plus]), axis=1)
     unit[0] -= d
     # Yang-Baxter components via the shared kernel S[k, m] = sum_r c_r c_{k-r} w^{mr}
-    conv = c[None, :] * c[(idx[:, None] - idx[None, :]) % d]  # [k, r] -> c_r c_{k-r}
-    wmat = om[(idx[:, None] * idx[None, :]) % d]              # [m, r]
-    s_km = conv @ wmat.T                                      # [k, m]
+    conv = c[None, :] * c[t.diff]   # [k, r] -> c_r c_{k-r}
+    s_km = conv @ t.wmat.T          # [k, m]
     yb = s_km * c[None, :] - s_km.T * c[:, None]
     flat = np.concatenate([unit, yb.ravel()])
     return np.concatenate([flat.real, flat.imag])
@@ -87,34 +123,23 @@ def residual_stack(u: np.ndarray, d: int) -> np.ndarray:
 def residual_jacobian(u: np.ndarray, d: int) -> np.ndarray:
     """Analytic Jacobian of residual_stack with respect to (Re c, Im c)."""
     c = _join(u)
-    om = np.exp(2j * np.pi * np.arange(d) / d)
-    idx = np.arange(d)
+    t = _tables(d)
+    c_diff = c[t.diff]  # [a, b] -> c_{a-b}
 
     n_cplx = d + d * d
-    dP = np.zeros((n_cplx, d), dtype=complex)  # d/d c_j holding conj(c) fixed
+    dP = np.empty((n_cplx, d), dtype=complex)  # d/d c_j holding conj(c) fixed
     dQ = np.zeros((n_cplx, d), dtype=complex)  # d/d conj(c_j)
+    dP[:d] = np.conj(c[t.plus])                # [r, j] -> conj(c_{j+r})
+    dQ[:d] = c_diff.T                          # [r, j] -> c_{j-r}
 
-    for r in range(d):
-        for j in range(d):
-            dP[r, j] = np.conj(c[(j + r) % d])
-            dQ[r, j] = c[(j - r) % d]
-
-    wmat = om[(idx[:, None] * idx[None, :]) % d]
-    conv = c[None, :] * c[(idx[:, None] - idx[None, :]) % d]
-    s_km = conv @ wmat.T
-
-    row = d
-    for k in range(d):
-        for m in range(d):
-            for j in range(d):
-                val = c[(k - j) % d] * c[m] * (om[(m * j) % d] + om[(m * (k - j)) % d])
-                if j == m:
-                    val += s_km[k, m]
-                val -= c[k] * c[(m - j) % d] * (om[(k * j) % d] + om[(k * (m - j)) % d])
-                if j == k:
-                    val -= s_km[m, k]
-                dP[row, j] = val
-            row += 1
+    s_km = (c[None, :] * c_diff) @ t.wmat.T
+    # Yang-Baxter row (k, m), column j; the S terms enter where j = m and
+    # j = k, in the same order of operations as the component definition
+    yb = c_diff[:, None, :] * c[None, :, None] * t.w_m   # c_{k-j} c_m (...)
+    yb[:, t.idx, t.idx] += s_km                          # j = m
+    yb -= c[:, None, None] * c_diff[None, :, :] * t.w_k  # c_k c_{m-j} (...)
+    yb[t.idx, :, t.idx] -= s_km.T                        # j = k
+    dP[d:] = yb.reshape(d * d, d)
 
     # real/imag block assembly: f = [Re F; Im F], u = [a; b], dF/da = P + Q,
     # dF/db = i (P - Q)
@@ -144,12 +169,13 @@ def _anchored_project(target: np.ndarray, d: int, tol: float) -> np.ndarray | No
     constraint solution to tol.
     """
     root = math.sqrt(ANCHOR_WEIGHT)
+    anchor = root * np.eye(target.size)
 
     def fun(y: np.ndarray) -> np.ndarray:
         return np.concatenate([residual_stack(y, d), root * (y - target)])
 
     def jac(y: np.ndarray) -> np.ndarray:
-        return np.vstack([residual_jacobian(y, d), root * np.eye(y.size)])
+        return np.vstack([residual_jacobian(y, d), anchor])
 
     fit = least_squares(fun, target, jac=jac, method="lm",
                         max_nfev=200, xtol=1e-15, ftol=1e-15, gtol=1e-15)
@@ -282,14 +308,21 @@ def solve_all(config: SolverConfig) -> SolverResult:
         else:
             result.discarded += 1
 
+    # representatives in creation order; a vector joins the first cluster
+    # within the radius, with distances as in CoefficientVector.distance
+    reps = np.empty((len(accepted), d), dtype=complex)
     for vec in accepted:
-        for cluster in result.clusters:
-            dist = vec.distance(cluster.representative)
-            if dist <= config.cluster_radius:
-                cluster.count += 1
-                cluster.max_internal_distance = max(cluster.max_internal_distance, dist)
-                break
+        n = len(result.clusters)
+        dists = np.max(np.abs(vec.c - reps[:n]), axis=1)
+        hits = np.flatnonzero(dists <= config.cluster_radius)
+        if hits.size:
+            first = hits[0]
+            cluster = result.clusters[first]
+            cluster.count += 1
+            cluster.max_internal_distance = max(cluster.max_internal_distance,
+                                                float(dists[first]))
         else:
+            reps[n] = vec.c
             result.clusters.append(SolutionCluster(vec, 1, 0.0))
 
     trivial = trivial_vector(d)

@@ -2,8 +2,9 @@
 
 Everything here sticks to brute force or a code path disjoint from the
 package internals it checks: matrix-level group enumeration with canonical
-phase normalization, determinant counting over Z_d, and a transvection
-sweep for the four-dimensional symplectic group over Z_3.
+phase normalization, determinant counting over Z_d, a transvection sweep
+for the four-dimensional symplectic group over Z_3, and the solver
+Jacobian entry by entry.
 """
 
 from __future__ import annotations
@@ -109,3 +110,48 @@ def eigenspace_scalars(op: np.ndarray, commuting: np.ndarray, d: int) -> np.ndar
             raise AssertionError("operator is not scalar on the eigenspace")
         scalars[k] = scalar
     return scalars
+
+
+def residual_jacobian_loops(u: np.ndarray, d: int) -> np.ndarray:
+    """Jacobian of the solver residual stack, one entry at a time.
+
+    Rows are the d unitarity components then the d**2 Yang-Baxter
+    components (k, m) in row-major order, real parts above imaginary
+    parts; columns are (Re c, Im c).  Each complex entry is the Wirtinger
+    pair d/dc_j, d/dconj(c_j) written out term by term in plain loops.
+    """
+    c = u[:d] + 1j * u[d:]
+    om = np.exp(2j * np.pi * np.arange(d) / d)
+    idx = np.arange(d)
+
+    n_cplx = d + d * d
+    dP = np.zeros((n_cplx, d), dtype=complex)  # d/d c_j holding conj(c) fixed
+    dQ = np.zeros((n_cplx, d), dtype=complex)  # d/d conj(c_j)
+
+    for r in range(d):
+        for j in range(d):
+            dP[r, j] = np.conj(c[(j + r) % d])
+            dQ[r, j] = c[(j - r) % d]
+
+    wmat = om[(idx[:, None] * idx[None, :]) % d]
+    conv = c[None, :] * c[(idx[:, None] - idx[None, :]) % d]
+    s_km = conv @ wmat.T
+
+    row = d
+    for k in range(d):
+        for m in range(d):
+            for j in range(d):
+                val = c[(k - j) % d] * c[m] * (om[(m * j) % d] + om[(m * (k - j)) % d])
+                if j == m:
+                    val += s_km[k, m]
+                val -= c[k] * c[(m - j) % d] * (om[(k * j) % d] + om[(k * (m - j)) % d])
+                if j == k:
+                    val -= s_km[m, k]
+                dP[row, j] = val
+            row += 1
+
+    da = dP + dQ
+    db = 1j * (dP - dQ)
+    top = np.hstack([da.real, db.real])
+    bot = np.hstack([da.imag, db.imag])
+    return np.vstack([top, bot])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import residual_jacobian_loops
 from parabraid.constraints import (
     CoefficientVector,
     FZCParams,
@@ -38,7 +39,7 @@ def test_residual_stack_matches_reference_definitions(d):
         assert abs(np.max(np.abs(cplx[d:])) - yang_baxter_residual(vec)) < 1e-12
 
 
-@pytest.mark.parametrize("d", (2, 3, 4, 5))
+@pytest.mark.parametrize("d", range(2, 7))
 def test_jacobian_against_finite_differences(d):
     rng = np.random.default_rng(42 + d)
     u = rng.normal(size=2 * d)
@@ -49,6 +50,16 @@ def test_jacobian_against_finite_differences(d):
         e[j] = eps
         column = (residual_stack(u + e, d) - residual_stack(u - e, d)) / (2 * eps)
         assert np.max(np.abs(jac[:, j] - column)) < 1e-6
+
+    # the closed form against the entry-by-entry loops, at random points and
+    # at known solutions; products round differently, sums do not reorder
+    points = [rng.normal(size=2 * d) for _ in range(20)]
+    points += [_real(fzc_coefficients(FZCParams(d, r, sign)))
+               for r in range(d) for sign in (+1, -1)]
+    if d == 4:
+        points += [_real(d4_family(1.3, sign)) for sign in (+1, -1)]
+    for u in points:
+        assert np.max(np.abs(residual_jacobian(u, d) - residual_jacobian_loops(u, d))) < 1e-12
 
 
 def test_manifold_dimension_known_points():
@@ -77,6 +88,9 @@ def test_config_validation():
         SolverConfig(3, restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(3, tol=1e-3, cluster_radius=1e-6)
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            SolverConfig(3, restarts=5, seed=1, tol=tol)
 
 
 def test_solve_d2_finds_both_solutions():
@@ -119,6 +133,17 @@ def test_solve_d5_soundness_only():
         vec = cluster.representative
         assert unitarity_residual(vec) <= 1e-9
         assert yang_baxter_residual(vec) <= 1e-9
+
+
+@pytest.mark.parametrize("d, counts", [
+    (2, [401, 411, 188]),
+    (3, [156, 153, 156, 153, 170, 65, 147]),
+])
+def test_cluster_counts_pinned(d, counts):
+    # the solutions at d = 2 and 3 are isolated, so the per-cluster counts in
+    # creation order are insensitive to last-bit rounding in the kernels
+    result = solve_all(SolverConfig(d, restarts=1000, seed=12345))
+    assert [c.count for c in result.clusters] == counts
 
 
 def test_d2_cluster_count_stable_under_doubling():
