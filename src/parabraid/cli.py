@@ -223,15 +223,17 @@ def cmd_clifford(d: int, n: int, generators: str, limit: int) -> tuple[RunReport
     ref_result = result if generators == "reference" else closure(ref, limit=limit)
     matched = bool(result.order == ref_result.order and np.array_equal(result.keys, ref_result.keys))
     out.add(flag_check("matched_reference", matched))
-    out.add(count_check("symplectic_actions_match_reference",
-                        result.symplectic_order(), ref_result.symplectic_order()))
+    sym_order = result.symplectic_order()
+    ref_sym_order = sym_order if ref_result is result else ref_result.symplectic_order()
+    out.add(count_check("symplectic_actions_match_reference", sym_order, ref_sym_order))
     payload.update({
         "order": result.order,
-        "symplectic_order": result.symplectic_order(),
+        "symplectic_order": sym_order,
         "matched_reference": matched,
         "elapsed_ms": result.elapsed_ms,
+        "level_sizes": list(result.level_sizes),
     })
-    out.extra = {"order": result.order, "symplectic_order": result.symplectic_order()}
+    out.extra = {"order": result.order, "symplectic_order": sym_order}
     out.wall_time_ms = (time.perf_counter() - t0) * 1000
     return out, payload
 
@@ -341,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--md", type=str, default=None)
     p.add_argument("--two-qudit-closure", action="store_true",
-                   help="include the d=3 two-qudit closure certificate (minutes)")
+                   help="include the d=3 two-qudit closure certificate (seconds)")
     return parser
 
 

@@ -338,14 +338,6 @@ def _vector_index(vec: tuple[int, ...], d: int) -> int:
     return idx
 
 
-def _index_vector(idx: int, d: int, n2: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n2):
-        idx, rem = divmod(idx, d)
-        out.append(rem)
-    return tuple(out)
-
-
 def tableau_key(tab: CliffordTableau) -> int:
     vec_space, phase_space, col_space = _pack_params(tab.d, tab.n)
     key = 0
@@ -356,17 +348,43 @@ def tableau_key(tab: CliffordTableau) -> int:
 
 
 def _gen_tables(tab: CliffordTableau) -> tuple[np.ndarray, np.ndarray]:
-    """Lookup tables over all exponent vectors for composing with `tab`."""
+    """Lookup tables over all exponent vectors for composing with `tab`.
+
+    Entry idx is the image under `tab` of the unphased Pauli label whose
+    exponent vector (x|z) has the base-d digits of idx, least significant
+    first: its packed vector index and its phase.  All labels are built at
+    once with the arithmetic of `apply`: powers of the generator images,
+    multiplied in the order X_1, Z_1, X_2, Z_2, ...
+    """
     d, n = tab.d, tab.n
     vec_space, _, _ = _pack_params(d, n)
-    vec_map = np.zeros(vec_space, dtype=np.int64)
-    phase_add = np.zeros(vec_space, dtype=np.int64)
-    for idx in range(vec_space):
-        vec = _index_vector(idx, d, 2 * n)
-        label = tab.apply(PauliLabel(d, n, 0, vec[:n], vec[n:]))
-        vec_map[idx] = _vector_index(label.vector(), d)
-        phase_add[idx] = label.phase
-    return vec_map, phase_add
+    powers = d ** np.arange(2 * n, dtype=np.int64)
+    digits = (np.arange(vec_space, dtype=np.int64)[:, None] // powers) % d
+    acc_vec = np.zeros((vec_space, 2 * n), dtype=np.int64)
+    acc_phase = np.zeros(vec_space, dtype=np.int64)
+    for q in range(n):
+        for col in (q, n + q):
+            img = tab.images[col]
+            vec = np.array(img.vector(), dtype=np.int64)
+            zx = sum(a * b for a, b in zip(img.z, img.x))
+            k = digits[:, col]
+            # acc * img**k, with Z**z X**x = omega**(z*x) X**x Z**z as in __mul__
+            acc_phase += k * img.phase + zx * k * (k - 1) + 2 * k * (acc_vec[:, n:] @ vec[:n])
+            acc_vec += k[:, None] * vec
+    return (acc_vec % d) @ powers, acc_phase % (2 * d)
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of an integer array; sorts `keys` in place.
+
+    A sort plus an adjacent-difference mask: numpy >= 2.3 routes np.unique
+    through a hash table, which is many times slower on millions of keys.
+    Sorting in place saves a copy of the largest array a level holds.
+    """
+    keys.sort()
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
 
 
 @dataclass
@@ -377,6 +395,7 @@ class ClosureResult:
     keys: np.ndarray
     levels: int
     elapsed_ms: float
+    level_sizes: tuple[int, ...] = ()  # new elements per BFS level; the last is 0
 
     def contains(self, tab: CliffordTableau) -> bool:
         key = tableau_key(tab)
@@ -399,7 +418,7 @@ class ClosureResult:
             idx, _ = np.divmod(code, phase_space)
             out += idx * shift
             shift *= vec_space
-        return int(np.unique(out).size)
+        return int(_sorted_unique(out).size)
 
 
 def closure(generators: list[CliffordTableau], limit: int = DEFAULT_CLOSURE_LIMIT) -> ClosureResult:
@@ -410,6 +429,12 @@ def closure(generators: list[CliffordTableau], limit: int = DEFAULT_CLOSURE_LIMI
     generators are still included to shorten the frontier depth.  Elements
     are deduplicated on packed integer keys; the resulting sorted key array
     is deterministic and independent of generator order.
+
+    Each level splits the frontier keys into their 2n column codes once;
+    composing with a generator is then a table lookup per column and one
+    repacking product.  Deduplication is sort-based: sorted distinct
+    candidates, a binary search into the sorted visited set, and a stable
+    sort that merges the two sorted runs.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -418,41 +443,31 @@ def closure(generators: list[CliffordTableau], limit: int = DEFAULT_CLOSURE_LIMI
         if (g.d, g.n) != (d, n):
             raise ValueError("generators act on different systems")
 
+    start = time.perf_counter()
     work = list(generators) + [g.inverse() for g in generators]
     tables = [_gen_tables(g) for g in work]
-    vec_space, phase_space, col_space = _pack_params(d, n)
+    _, phase_space, col_space = _pack_params(d, n)
     two_d = 2 * d
-    n_cols = 2 * n
+    weights = col_space ** np.arange(2 * n, dtype=np.int64)
 
-    def compose_keys(keys: np.ndarray, vec_map: np.ndarray, phase_add: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(keys)
-        shift = np.ones_like(keys)
-        rest = keys.copy()
-        for _ in range(n_cols):
-            rest, code = np.divmod(rest, col_space)
-            idx, phase = np.divmod(code, phase_space)
-            new_code = vec_map[idx] * phase_space + (phase + phase_add[idx]) % two_d
-            out += new_code * shift
-            shift *= col_space
-        return out
-
-    start = time.perf_counter()
-    identity_key = tableau_key(CliffordTableau.identity(d, n))
-    visited = np.array([identity_key], dtype=np.int64)
-    frontier = visited.copy()
-    levels = 0
+    visited = np.array([tableau_key(CliffordTableau.identity(d, n))], dtype=np.int64)
+    frontier = visited
+    level_sizes = []
     while frontier.size:
-        levels += 1
-        candidates = np.concatenate(
-            [compose_keys(frontier, vm, pa) for vm, pa in tables]
-        )
-        candidates = np.unique(candidates)
-        new = candidates[np.isin(candidates, visited, assume_unique=True, invert=True)]
+        idx, phase = np.divmod((frontier[:, None] // weights) % col_space, phase_space)
+        candidates = _sorted_unique(np.concatenate(
+            [(vm[idx] * phase_space + (phase + pa[idx]) % two_d) @ weights for vm, pa in tables]
+        ))
+        pos = np.minimum(np.searchsorted(visited, candidates), visited.size - 1)
+        new = candidates[visited[pos] != candidates]
+        level_sizes.append(int(new.size))
         if new.size == 0:
             break
-        visited = np.union1d(visited, new)
+        visited = np.concatenate([visited, new])
+        visited.sort(kind="stable")  # merges two sorted runs in linear time
         if visited.size > limit:
             raise ClosureLimitError(limit, visited.size)
         frontier = new
     elapsed = (time.perf_counter() - start) * 1000.0
-    return ClosureResult(d, n, int(visited.size), visited, levels, elapsed)
+    return ClosureResult(d, n, int(visited.size), visited, len(level_sizes), elapsed,
+                         tuple(level_sizes))

@@ -3,8 +3,8 @@
 Everything here sticks to brute force or a code path disjoint from the
 package internals it checks: matrix-level group enumeration with canonical
 phase normalization, determinant counting over Z_d, a transvection sweep
-for the four-dimensional symplectic group over Z_3, and the solver
-Jacobian entry by entry.
+for the four-dimensional symplectic group over Z_3, tableau group closure
+one composition at a time, and the solver Jacobian entry by entry.
 """
 
 from __future__ import annotations
@@ -89,6 +89,34 @@ def sp4_z3_order() -> int:
         visited = np.union1d(visited, keys[new_mask])
         frontier = candidates[new_mask]
     return int(visited.size)
+
+
+def closure_keys_reference(generators: list) -> list[int]:
+    """Sorted packed keys of the group a tableau set generates.
+
+    Plain breadth-first search: every frontier element is composed with
+    each generator and inverse through `CliffordTableau.compose`, and
+    `tableau_key` values are collected in a Python set.  None of the
+    vectorized closure's lookup tables or array deduplication is used.
+    """
+    from parabraid.clifford import CliffordTableau, tableau_key
+
+    first = generators[0]
+    gens = list(generators) + [g.inverse() for g in generators]
+    identity = CliffordTableau.identity(first.d, first.n)
+    seen = {tableau_key(identity)}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for tab in frontier:
+            for g in gens:
+                product = g.compose(tab)
+                key = tableau_key(product)
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(product)
+        frontier = fresh
+    return sorted(seen)
 
 
 def eigenspace_scalars(op: np.ndarray, commuting: np.ndarray, d: int) -> np.ndarray:

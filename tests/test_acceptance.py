@@ -5,6 +5,7 @@ reports exactly which clause failed and by how much.  The conftest hook
 prints a one-line PASS/FAIL verdict per criterion at the end of the run.
 """
 
+import hashlib
 import os
 import resource
 import subprocess
@@ -350,6 +351,9 @@ def test_criterion_12_two_qudit_clifford_certificate():
         failures.append(f"reference closure order {ref.order} != oracle {oracle}")
     if not np.array_equal(braid.keys, ref.keys):
         failures.append("braid and reference closures differ as sets")
+    ref_sha = hashlib.sha256(ref.keys.tobytes()).hexdigest()
+    if ref_sha != "506ae1f91af18ef0fcda4e20ddb505614e73dabd7929291cd7381bce5bcd9b6a":
+        failures.append(f"reference closure keys changed (sha256 {ref_sha})")
     if elapsed > 600:
         failures.append(f"two-qudit closures took {elapsed:.1f}s > 600s")
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024**2

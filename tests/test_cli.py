@@ -4,6 +4,7 @@ import pytest
 
 from parabraid import cli
 from parabraid.cli import main
+from parabraid.clifford import ClosureResult
 from parabraid.report import load_schema, markdown_summary, validate_schema
 
 
@@ -114,9 +115,28 @@ def test_clifford_json_interface(tmp_path):
                     "--json", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
-    for key in ("d", "n", "generator_set", "order", "matched_reference", "elapsed_ms"):
+    for key in ("d", "n", "generator_set", "order", "matched_reference", "elapsed_ms",
+                "level_sizes"):
         assert key in payload
     assert payload["order"] == 24 and payload["matched_reference"] is True
+    assert 1 + sum(payload["level_sizes"]) == 24 and payload["level_sizes"][-1] == 0
+
+
+@pytest.mark.parametrize("generators,closures", [("braid", 2), ("reference", 1)])
+def test_clifford_symplectic_order_once_per_closure(monkeypatch, generators, closures):
+    calls = []
+    original = ClosureResult.symplectic_order
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ClosureResult, "symplectic_order", counted)
+    report, payload = cli.cmd_clifford(3, 1, generators, cli.DEFAULT_CLOSURE_LIMIT)
+    assert len(calls) == len({id(r) for r in calls}) == closures
+    # per-level sizes go to the --json payload only: report bytes stay pinned
+    assert set(report.extra) == {"order", "symplectic_order"}
+    assert report.extra["symplectic_order"] == payload["symplectic_order"] == 24
 
 
 def test_clifford_braid_phase_gap_reported():

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from parabraid.clifford import (
     CliffordTableau,
     ClosureLimitError,
+    _gen_tables,
     PauliLabel,
     check_key_width,
     clifford_membership,
@@ -17,7 +20,7 @@ from parabraid.encoding import braid_generator_tableaux
 from parabraid.systems import DenseOperator, QuditSystem, controlled_shift, fourier_gate, pauli_x, \
     pauli_z
 
-from oracles import matrix_group_order, sl2_order
+from oracles import closure_keys_reference, matrix_group_order, sl2_order
 
 
 def random_label(rng, d, n):
@@ -225,3 +228,40 @@ def test_two_qubit_braid_closure_recorded():
 def test_tableau_key_stability():
     tab = reference_generators(3, 1)[0]
     assert tableau_key(tab) == tableau_key(clifford_membership(reference_phase_gate(3)))
+
+
+@pytest.mark.parametrize("kind,d,n", [("reference", d, 1) for d in (2, 3, 4, 5)]
+                         + [("braid", d, 1) for d in (2, 3, 4, 5)] + [("braid", 2, 2)])
+def test_closure_keys_match_python_bfs(kind, d, n):
+    # key for key against a set-based search through CliffordTableau.compose
+    gens = reference_generators(d, n) if kind == "reference" else braid_generator_tableaux(d, n)
+    result = closure(gens)
+    assert result.keys.dtype == np.int64
+    assert result.keys.tolist() == closure_keys_reference(gens)
+    assert len(result.level_sizes) == result.levels
+    assert 1 + sum(result.level_sizes) == result.order
+    assert result.level_sizes[-1] == 0
+
+
+@pytest.mark.parametrize("d,n", [(d, 1) for d in range(2, 8)] + [(2, 2), (3, 2), (4, 2)])
+def test_gen_tables_match_apply(d, n):
+    gens = reference_generators(d, n) + braid_generator_tableaux(d, n)
+    for tab in gens + [g.inverse() for g in gens]:
+        vec_map, phase_add = _gen_tables(tab)
+        assert vec_map.size == phase_add.size == d ** (2 * n)
+        for idx in range(d ** (2 * n)):
+            vec = [(idx // d ** i) % d for i in range(2 * n)]
+            image = tab.apply(PauliLabel(d, n, 0, tuple(vec[:n]), tuple(vec[n:])))
+            assert vec_map[idx] == sum(v * d ** i for i, v in enumerate(image.vector()))
+            assert phase_add[idx] == image.phase
+
+
+def test_sp4_z3_closure_keys_pinned():
+    # the closure_d3n2 benchmark group: both Fourier gates and the controlled
+    # shift at d = 3, i.e. Sp(4, Z_3) without the Pauli translations
+    gens = reference_generators(3, 2)
+    result = closure([gens[i] for i in (1, 3, 4)])
+    assert (result.order, result.levels, result.symplectic_order()) == (51840, 17, 51840)
+    assert hashlib.sha256(result.keys.tobytes()).hexdigest() == (
+        "7b0c855671b868934c01face3e462a28a97402cfbbbc1afb5e9f7281fef1b19d")
+    assert 1 + sum(result.level_sizes) == result.order
