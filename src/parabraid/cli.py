@@ -208,19 +208,21 @@ def cmd_clifford(d: int, n: int, generators: str, limit: int) -> tuple[RunReport
     check_key_width(d, n)
     out = RunReport("clifford", {"d": d, "n": n, "generators": generators})
     t0 = time.perf_counter()
-    gens = braid_generator_tableaux(d, n) if generators == "braid" else reference_generators(d, n)
-    ref = reference_generators(d, n)
     payload: dict = {"d": d, "n": n, "generator_set": generators}
     try:
-        result = closure(gens, limit=limit)
+        if generators == "reference":
+            result = ref_result = closure(reference_generators(d, n), limit=limit)
+        else:
+            result = closure(braid_generator_tableaux(d, n), limit=limit)
+            ref_result = closure(reference_generators(d, n), limit=limit)
     except ClosureLimitError as err:
         out.add(flag_check("closure_within_limit", False))
         payload.update({"order": None, "matched_reference": False,
                         "elapsed_ms": (time.perf_counter() - t0) * 1000,
                         "error": str(err)})
+        out.wall_time_ms = payload["elapsed_ms"]
         return out, payload
     out.add(flag_check("closure_within_limit", True))
-    ref_result = result if generators == "reference" else closure(ref, limit=limit)
     matched = bool(result.order == ref_result.order and np.array_equal(result.keys, ref_result.keys))
     out.add(flag_check("matched_reference", matched))
     sym_order = result.symplectic_order()

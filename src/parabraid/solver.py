@@ -5,10 +5,14 @@ parameters.  The objective stacks the real and imaginary parts of every
 unitarity component (d of them) and every Yang-Baxter component (d**2),
 and each restart runs a Levenberg-Marquardt descent from a random start
 drawn uniformly from the complex disk of radius sqrt(d) per coordinate
-(solutions satisfy sum |c_m|**2 = d, so that scale brackets them).  The
-objective and its analytic Jacobian are closed-form numpy expressions over
-index and root-of-unity tables that depend on d alone and are built once
-per d (see _tables); scipy runs the per-restart descent.
+(solutions satisfy sum |c_m|**2 = d, so that scale brackets them).  In the
+real parameters u = (Re c, Im c) the unitarity components are quadratic and
+the Yang-Baxter components cubic, so the objective is
+f(u) = b + A2 (u x u) + A3 (u x u x u) and its Jacobian
+J(u) = B2 u + B3 (u x u).  The coefficient tensors, packed over the distinct
+monomials of u, are derived from the complex constraint definitions once
+per d, on first use (see _tables); each evaluation is then one gather of
+monomials and one matrix product.  scipy runs the per-restart descent.
 
 Converged points are re-checked through the plain residual definitions in
 `constraints` (a separate code path from the solver objective), gauge
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -77,77 +82,96 @@ def _join(u: np.ndarray) -> np.ndarray:
 
 
 class _Tables(NamedTuple):
-    """Everything the residual and its Jacobian need that depends on d alone."""
+    """Both constraint polynomials for one d, as coefficients over monomials of u.
 
-    idx: np.ndarray     # 0..d-1
-    plus: np.ndarray    # [r, j] -> (j + r) mod d
-    diff: np.ndarray    # [a, b] -> (a - b) mod d
-    wmat: np.ndarray    # [m, r] -> omega**(m r)
-    w_m: np.ndarray     # [k, m, j] -> omega**(m j) + omega**(m (k - j))
-    w_k: np.ndarray     # [k, m, j] -> omega**(k j) + omega**(k (m - j))
+    With v = (u, 1), a kernel's monomial i is the product of v over column i
+    of its gather table (index 2d is the constant 1).  Monomials are packed,
+    one per multiset of variables, in itertools.combinations_with_replacement
+    order; n2 and n3 count those of degree 2 and 3.
+    """
+
+    res_gather: np.ndarray  # [3, n2 + 1 + n3]: u_p u_q (p <= q), 1, u_p u_q u_s (p <= q <= s)
+    res_coef: np.ndarray    # [2 (d + d**2), n2 + 1 + n3]: residual rows
+    jac_gather: np.ndarray  # [2, 2d + n2]: u_p, then u_p u_q (p <= q)
+    jac_coef: np.ndarray    # [2 (d + d**2) * 2d, 2d + n2]: Jacobian rows, row-major
+
+
+def _packed(form: np.ndarray, monomials: list[tuple[int, ...]]) -> np.ndarray:
+    """Coefficient of each monomial in a multilinear form evaluated at (u, .., u).
+
+    The last axes of `form` are its slots; a monomial collects the entries
+    of every distinct ordering of its variables over those slots.
+    """
+    return np.stack([sum(form[(..., *order)] for order in sorted(set(permutations(mono))))
+                     for mono in monomials], axis=-1)
 
 
 @lru_cache(maxsize=None)
 def _tables(d: int) -> _Tables:
-    om = np.exp(2j * np.pi * np.arange(d) / d)
+    n = 2 * d
     idx = np.arange(d)
-    k, m, j = idx[:, None, None], idx[None, :, None], idx[None, None, :]
+    plus = (idx[None, :] + idx[:, None]) % d          # [r, j] -> (j + r) mod d
+    diff = (idx[:, None] - idx[None, :]) % d          # [a, b] -> (a - b) mod d
+    wmat = np.exp(2j * np.pi * idx / d)[(idx[:, None] * idx[None, :]) % d]  # omega**(m r)
+    e = np.hstack([np.eye(d), 1j * np.eye(d)])        # c = e @ u, as c = a + i b
+    # the complex components as multilinear forms in u, one slot per factor:
+    # unitarity sum_j c_j conj(c_{j+r}); Yang-Baxter S[k, m] c_m - S[m, k] c_k
+    # with S[k, m] = sum_r c_r c_{k-r} omega**(m r)
+    unit = np.einsum("jp,rjq->rpq", e, e.conj()[plus])
+    yb = (np.einsum("mr,rp,krq,ms->kmpqs", wmat, e, e[diff], e)
+          - np.einsum("kr,rp,mrq,ks->kmpqs", wmat, e, e[diff], e)).reshape(d * d, n, n, n)
+
+    pairs = list(combinations_with_replacement(range(n), 2))
+    triples = list(combinations_with_replacement(range(n), 3))
+    res_monos = pairs + [()] + triples
+    cplx = np.zeros((d + d * d, len(res_monos)), dtype=complex)
+    cplx[:d, :len(pairs)] = _packed(unit, pairs)
+    cplx[0, len(pairs)] = -d
+    cplx[d:, len(pairs) + 1:] = _packed(yb, triples)
+    res_coef = np.vstack([cplx.real, cplx.imag])
+
+    # d/du_t of a monomial: once for each of its factors equal to u_t
+    jac_monos = [(p,) for p in range(n)] + pairs
+    column = {mono: i for i, mono in enumerate(jac_monos)}
+    jac_coef = np.zeros((res_coef.shape[0], n, len(jac_monos)))
+    for col, mono in enumerate(res_monos):
+        for i, var in enumerate(mono):
+            jac_coef[:, var, column[mono[:i] + mono[i + 1:]]] += res_coef[:, col]
+
+    def gather(monos: list[tuple[int, ...]], degree: int) -> np.ndarray:
+        return np.array([mono + (n,) * (degree - len(mono)) for mono in monos]).T
+
     tables = _Tables(
-        idx=idx,
-        plus=(idx[None, :] + idx[:, None]) % d,
-        diff=(idx[:, None] - idx[None, :]) % d,
-        wmat=om[(idx[:, None] * idx[None, :]) % d],
-        w_m=om[(m * j) % d] + om[(m * (k - j)) % d],
-        w_k=om[(k * j) % d] + om[(k * (m - j)) % d],
+        res_gather=gather(res_monos, 3),
+        res_coef=res_coef,
+        jac_gather=gather(jac_monos, 2),
+        jac_coef=jac_coef.reshape(-1, len(jac_monos)),
     )
     for table in tables:
         table.flags.writeable = False  # shared by every caller
     return tables
 
 
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
+
+
 def residual_stack(u: np.ndarray, d: int) -> np.ndarray:
-    """Real residual vector of both constraint families at real parameters u."""
-    c = _join(u)
+    """Real residual vector of both constraint families at real parameters u.
+
+    Rows are the d unitarity components then the d**2 Yang-Baxter
+    components (k, m) in row-major order, real parts above imaginary parts.
+    """
     t = _tables(d)
-    # unitarity components, r = 0..d-1: sum_j c_j conj(c_{j+r}) - d [r = 0]
-    unit = np.sum(c[None, :] * np.conj(c[t.plus]), axis=1)
-    unit[0] -= d
-    # Yang-Baxter components via the shared kernel S[k, m] = sum_r c_r c_{k-r} w^{mr}
-    conv = c[None, :] * c[t.diff]   # [k, r] -> c_r c_{k-r}
-    s_km = conv @ t.wmat.T          # [k, m]
-    yb = s_km * c[None, :] - s_km.T * c[:, None]
-    flat = np.concatenate([unit, yb.ravel()])
-    return np.concatenate([flat.real, flat.imag])
+    g = np.concatenate((u, _ONE))[t.res_gather]
+    return t.res_coef @ (g[0] * g[1] * g[2])
 
 
 def residual_jacobian(u: np.ndarray, d: int) -> np.ndarray:
     """Analytic Jacobian of residual_stack with respect to (Re c, Im c)."""
-    c = _join(u)
     t = _tables(d)
-    c_diff = c[t.diff]  # [a, b] -> c_{a-b}
-
-    n_cplx = d + d * d
-    dP = np.empty((n_cplx, d), dtype=complex)  # d/d c_j holding conj(c) fixed
-    dQ = np.zeros((n_cplx, d), dtype=complex)  # d/d conj(c_j)
-    dP[:d] = np.conj(c[t.plus])                # [r, j] -> conj(c_{j+r})
-    dQ[:d] = c_diff.T                          # [r, j] -> c_{j-r}
-
-    s_km = (c[None, :] * c_diff) @ t.wmat.T
-    # Yang-Baxter row (k, m), column j; the S terms enter where j = m and
-    # j = k, in the same order of operations as the component definition
-    yb = c_diff[:, None, :] * c[None, :, None] * t.w_m   # c_{k-j} c_m (...)
-    yb[:, t.idx, t.idx] += s_km                          # j = m
-    yb -= c[:, None, None] * c_diff[None, :, :] * t.w_k  # c_k c_{m-j} (...)
-    yb[t.idx, :, t.idx] -= s_km.T                        # j = k
-    dP[d:] = yb.reshape(d * d, d)
-
-    # real/imag block assembly: f = [Re F; Im F], u = [a; b], dF/da = P + Q,
-    # dF/db = i (P - Q)
-    da = dP + dQ
-    db = 1j * (dP - dQ)
-    top = np.hstack([da.real, db.real])
-    bot = np.hstack([da.imag, db.imag])
-    return np.vstack([top, bot])
+    g = np.concatenate((u, _ONE))[t.jac_gather]
+    return (t.jac_coef @ (g[0] * g[1])).reshape(-1, 2 * d)
 
 
 def combined_residual(vec: CoefficientVector) -> float:
@@ -265,6 +289,8 @@ class SolverResult:
     clusters: list[SolutionCluster] = field(default_factory=list)
     converged: int = 0
     discarded: int = 0
+    nfev: int = 0  # residual evaluations over all restarts
+    lm_status: dict[int, int] = field(default_factory=dict)  # MINPACK exit status -> restarts
 
     @property
     def nontrivial_clusters(self) -> list[SolutionCluster]:
@@ -280,6 +306,8 @@ class SolverResult:
             "seed": self.seed,
             "restarts": self.restarts,
             "clusters": [c.to_json() for c in self.clusters],
+            "nfev": self.nfev,
+            "lm_status": {str(k): v for k, v in sorted(self.lm_status.items())},
         }
 
 
@@ -300,6 +328,8 @@ def solve_all(config: SolverConfig) -> SolverResult:
             residual_stack, _split(start), jac=residual_jacobian, args=(d,),
             method="lm", max_nfev=MAX_ITERATIONS, xtol=1e-15, ftol=1e-15, gtol=1e-15,
         )
+        result.nfev += int(fit.nfev)
+        result.lm_status[int(fit.status)] = result.lm_status.get(int(fit.status), 0) + 1
         vec = CoefficientVector(d, _join(fit.x))
         if combined_residual(vec) <= config.tol:
             fixed, _ = gauge_fix(vec)

@@ -4,7 +4,8 @@ Everything here sticks to brute force or a code path disjoint from the
 package internals it checks: matrix-level group enumeration with canonical
 phase normalization, determinant counting over Z_d, a transvection sweep
 for the four-dimensional symplectic group over Z_3, tableau group closure
-one composition at a time, and the solver Jacobian entry by entry.
+one composition at a time, and the solver residual and Jacobian entry
+by entry.
 """
 
 from __future__ import annotations
@@ -138,6 +139,29 @@ def eigenspace_scalars(op: np.ndarray, commuting: np.ndarray, d: int) -> np.ndar
             raise AssertionError("operator is not scalar on the eigenspace")
         scalars[k] = scalar
     return scalars
+
+
+def residual_stack_loops(u: np.ndarray, d: int) -> np.ndarray:
+    """The solver residual stack, one component at a time from the definitions.
+
+    Unitarity component r is sum_m c_m conj(c_{m+r}) - d [r = 0]; Yang-Baxter
+    component (k, m) is sum_r c_r c_{k-r} c_m omega**(m r) minus
+    sum_r c_r c_k c_{m-r} omega**(k r).  Rows are ordered as in
+    residual_jacobian_loops.
+    """
+    c = u[:d] + 1j * u[d:]
+    om = np.exp(2j * np.pi * np.arange(d) / d)
+    components = []
+    for r in range(d):
+        total = sum(c[m] * np.conj(c[(m + r) % d]) for m in range(d))
+        components.append(total - d if r == 0 else total)
+    for k in range(d):
+        for m in range(d):
+            lhs = sum(c[r] * c[(k - r) % d] * c[m] * om[(m * r) % d] for r in range(d))
+            rhs = sum(c[r] * c[k] * c[(m - r) % d] * om[(k * r) % d] for r in range(d))
+            components.append(lhs - rhs)
+    components = np.array(components)
+    return np.concatenate([components.real, components.imag])
 
 
 def residual_jacobian_loops(u: np.ndarray, d: int) -> np.ndarray:

@@ -134,9 +134,24 @@ def test_clifford_symplectic_order_once_per_closure(monkeypatch, generators, clo
     monkeypatch.setattr(ClosureResult, "symplectic_order", counted)
     report, payload = cli.cmd_clifford(3, 1, generators, cli.DEFAULT_CLOSURE_LIMIT)
     assert len(calls) == len({id(r) for r in calls}) == closures
+    assert [c.name for c in report.checks] == [
+        "closure_within_limit", "matched_reference", "symplectic_actions_match_reference"]
     # per-level sizes go to the --json payload only: report bytes stay pinned
     assert set(report.extra) == {"order", "symplectic_order"}
     assert report.extra["symplectic_order"] == payload["symplectic_order"] == 24
+
+
+def test_clifford_reference_closure_over_limit_is_check_failure(tmp_path, capsys):
+    # the d = 3 braid closure has 24 elements, the reference closure 216: the
+    # limit is hit by the second closure, which must fail the check, not raise
+    out = tmp_path / "clifford.json"
+    code = run_cli(["clifford", "--d", "3", "--n", "1", "--generators", "braid",
+                    "--limit", "100", "--json", str(out)])
+    assert code == 1
+    assert "[FAIL] clifford: closure_within_limit" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["order"] is None and payload["matched_reference"] is False
+    assert "limit 100" in payload["error"]
 
 
 def test_clifford_braid_phase_gap_reported():

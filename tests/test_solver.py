@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import residual_jacobian_loops
+from oracles import residual_jacobian_loops, residual_stack_loops
 from parabraid.constraints import (
     CoefficientVector,
     FZCParams,
@@ -39,6 +44,23 @@ def test_residual_stack_matches_reference_definitions(d):
         assert abs(np.max(np.abs(cplx[d:])) - yang_baxter_residual(vec)) < 1e-12
 
 
+def _oracle_points(d, rng):
+    points = [rng.normal(size=2 * d) for _ in range(20)]
+    points += [_real(fzc_coefficients(FZCParams(d, r, sign)))
+               for r in range(d) for sign in (+1, -1)]
+    if d == 4:
+        points += [_real(d4_family(1.3, sign)) for sign in (+1, -1)]
+    return points
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_residual_stack_matches_loops_componentwise(d):
+    # every row against the constraint definitions, so a permuted or
+    # sign-flipped component fails where a max-norm comparison would not
+    for u in _oracle_points(d, np.random.default_rng(7 + d)):
+        assert np.max(np.abs(residual_stack(u, d) - residual_stack_loops(u, d))) < 1e-12
+
+
 @pytest.mark.parametrize("d", range(2, 7))
 def test_jacobian_against_finite_differences(d):
     rng = np.random.default_rng(42 + d)
@@ -51,14 +73,9 @@ def test_jacobian_against_finite_differences(d):
         column = (residual_stack(u + e, d) - residual_stack(u - e, d)) / (2 * eps)
         assert np.max(np.abs(jac[:, j] - column)) < 1e-6
 
-    # the closed form against the entry-by-entry loops, at random points and
-    # at known solutions; products round differently, sums do not reorder
-    points = [rng.normal(size=2 * d) for _ in range(20)]
-    points += [_real(fzc_coefficients(FZCParams(d, r, sign)))
-               for r in range(d) for sign in (+1, -1)]
-    if d == 4:
-        points += [_real(d4_family(1.3, sign)) for sign in (+1, -1)]
-    for u in points:
+    # the coefficient tensors against the entry-by-entry loops, at random
+    # points and at known solutions; only the summation order differs
+    for u in _oracle_points(d, rng):
         assert np.max(np.abs(residual_jacobian(u, d) - residual_jacobian_loops(u, d))) < 1e-12
 
 
@@ -167,7 +184,27 @@ def test_solver_determinism_same_seed():
 def test_solver_report_interface():
     result = solve_all(SolverConfig(2, restarts=50, seed=5))
     payload = result.to_json()
-    assert set(payload) == {"d", "seed", "restarts", "clusters"}
+    assert set(payload) == {"d", "seed", "restarts", "clusters", "nfev", "lm_status"}
+    assert payload["nfev"] == result.nfev >= 50
+    assert sum(payload["lm_status"].values()) == 50
+    assert all(int(status) in range(-1, 5) for status in payload["lm_status"])
     for cluster in payload["clusters"]:
         assert set(cluster) == {"c", "count", "manifold_dim", "trivial"}
         assert set(cluster["c"]) == {"d", "re", "im"}
+
+
+def test_solver_tables_lazy_and_read_only():
+    # nothing is built at import (perfbench's setup_s); the per-d tables are
+    # shared by every caller, so none of them may be writable
+    script = (
+        "import numpy as np, parabraid\n"
+        "from parabraid import solver\n"
+        "assert solver._tables.cache_info().currsize == 0, 'tables built at import'\n"
+        "solver.residual_stack(np.ones(6), 3)\n"
+        "assert solver._tables.cache_info().currsize == 1\n"
+        "assert all(not table.flags.writeable for table in solver._tables(3))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
