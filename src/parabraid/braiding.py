@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import CoefficientVector, FZCParams, fzc_coefficients, unitarity_residual
-from .parafermions import ParafermionSystem, all_parities, build_parafermions, overall_parity, parity_eigenbasis
+from .clifford import symplectic_product
+from .parafermions import ParafermionSystem, build_parafermions, overall_parity, parity_eigenbasis, \
+    parity_label
 from .phases import CyclotomicPhase, phase_from_complex
 from .systems import DenseOperator, embed_vector, equal_up_to_phase
 
@@ -144,7 +146,6 @@ class BraidRepresentation:
         self.system = system
         self.coefficients = coefficients
         self.fzc = fzc
-        self.parities = all_parities(system)
         self.generators = tuple(
             self._build_generator(i) for i in range(1, system.n_modes)
         )
@@ -157,27 +158,24 @@ class BraidRepresentation:
 
     def _build_generator(self, i: int) -> DenseOperator:
         d = self.system.d
-        lam = self.parities[i - 1]
-        acc = np.zeros((self.system.system.dim,) * 2, dtype=complex)
-        power = np.eye(self.system.system.dim, dtype=complex)
-        for m in range(d):
-            acc += self.coefficients.c[m] * power
-            power = power @ lam.mat
+        lam = parity_label(self.system, i)
+        acc = sum(self.coefficients.c[m] * (lam ** m).to_matrix() for m in range(d))
         return DenseOperator(acc / math.sqrt(d), d, self.system.n_pairs)
 
     def _validate(self) -> None:
+        # U_i is a polynomial in Lambda_i, so it commutes with gamma_j whenever
+        # Lambda_i does, for any coefficients: a zero symplectic product.
+        sys_ = self.system
         for i, u in enumerate(self.generators, start=1):
             defect = u.unitarity_defect()
             if defect > BUILD_TOL:
                 raise ValueError(f"U_{i} not unitary: defect {defect:.3e}")
-            for j in range(1, self.system.n_modes + 1):
+            lam = parity_label(sys_, i).vector()
+            for j in range(1, sys_.n_modes + 1):
                 if j in (i, i + 1):
                     continue
-                res = u.commutator_norm(self.system.gamma(j))
-                if res > BUILD_TOL:
-                    raise ValueError(
-                        f"U_{i} fails to commute with gamma_{j}: residual {res:.3e}"
-                    )
+                if symplectic_product(lam, sys_.labels[j - 1].vector(), sys_.d, sys_.n_pairs):
+                    raise ValueError(f"U_{i} fails to commute with gamma_{j}")
 
     def generator(self, i: int) -> DenseOperator:
         if not 1 <= i <= len(self.generators):
@@ -273,11 +271,13 @@ def conjugation_action(rep: BraidRepresentation, i: int, tol: float = 1e-10) -> 
     if rep.fzc is None or rep.fzc.sign != +1:
         return ConjugationResult(img1, img2)
     d, r = rep.fzc.d, rep.fzc.r
+    labels = rep.system.labels
+    g1dag_g2sq = (labels[i - 1].inverse() * labels[i] ** 2).to_operator()
     target1 = CyclotomicPhase.omega(d, -r).as_complex() * g2
-    target2 = CyclotomicPhase.omega(d, 1 - r).as_complex() * (g1.dag() @ g2 @ g2)
+    target2 = CyclotomicPhase.omega(d, 1 - r).as_complex() * g1dag_g2sq
     residual = max(img1.max_diff(target1), img2.max_diff(target2))
     lam1 = equal_up_to_phase(img1, g2, tol)
-    lam2 = equal_up_to_phase(img2, g1.dag() @ g2 @ g2, tol)
+    lam2 = equal_up_to_phase(img2, g1dag_g2sq, tol)
     phase1 = phase_from_complex(lam1, d) if lam1 is not None else None
     phase2 = phase_from_complex(lam2, d) if lam2 is not None else None
     return ConjugationResult(img1, img2, residual, phase1, phase2)

@@ -44,7 +44,7 @@ NAMED_BRAIDS = {"F": "F", "S": "S", "T": "T", "Sdag": "S_dagger"}
 def cmd_algebra(d: int, pairs: int) -> RunReport:
     out = RunReport("algebra", {"d": d, "pairs": pairs})
     t0 = time.perf_counter()
-    sys_ = build_parafermions(d, pairs, validate=False)
+    sys_ = build_parafermions(d, pairs)
     out.add(Check("defining_relations", check_defining_relations(sys_), 1e-12))
 
     closed_form = 0.0
@@ -180,6 +180,8 @@ def _resolve_word(braid: str, d: int) -> tuple[str, BraidWord]:
 
 def cmd_gates(d: int, r: int, braid: str) -> tuple[RunReport, dict]:
     name, word = _resolve_word(braid, d)
+    if word.max_index() > 7:
+        raise ValueError(f"generator index {word.max_index()} is out of range 1..7 (8 parafermions)")
     out = RunReport("gates", {"d": d, "r": r, "braid": braid})
     t0 = time.perf_counter()
     n_logical = 2 if word.max_index() > 3 else 1

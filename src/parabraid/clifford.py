@@ -104,6 +104,9 @@ class PauliLabel:
     def to_matrix(self) -> np.ndarray:
         return self.phase_value() * pauli_monomial(QuditSystem(self.d, self.n), self.x, self.z).mat
 
+    def to_operator(self) -> DenseOperator:
+        return DenseOperator(self.to_matrix(), self.d, self.n)
+
 
 def symplectic_product(u: tuple[int, ...], v: tuple[int, ...], d: int, n: int) -> int:
     """P(u) P(v) = omega**sp(u, v) P(v) P(u) for exponent vectors (x|z)."""
@@ -211,9 +214,6 @@ class CliffordTableau:
     def symplectic_matrix(self) -> np.ndarray:
         """2n x 2n matrix over Z_d whose columns are the image vectors."""
         return np.array([img.vector() for img in self.images], dtype=np.int64).T % self.d
-
-    def phase_vector(self) -> tuple[int, ...]:
-        return tuple(img.phase for img in self.images)
 
     def inverse(self) -> "CliffordTableau":
         # A symplectic M satisfies M^T J M = J, so M^-1 = -J M^T J (mod d).

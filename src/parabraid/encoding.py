@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braiding import BraidRepresentation, BraidWord, canonical_word, compose_braid, diagonal_phases
-from .clifford import PauliLabel, extract_pauli_monomial
-from .parafermions import parity, parity_eigenbasis
+from .clifford import CliffordTableau, PauliLabel, clifford_membership, extract_pauli_monomial
+from .parafermions import parity, parity_eigenbasis, parity_label
 from .phases import CyclotomicPhase, phase_from_complex
 from .systems import (
     DenseOperator,
@@ -106,8 +106,8 @@ def _validate_encoding(enc: Encoding) -> None:
                 )
     # Image lies in the neutral-parity eigenspace: (Lambda_1 Lambda_3) E = E.
     for iz, izd in ([(1, 3)] if enc.n_logical == 1 else [(1, 3), (5, 7)]):
-        neutral = parity(enc.rep.system, iz) @ parity(enc.rep.system, izd)
-        defect = float(np.max(np.abs(neutral.mat @ e - e)))
+        neutral = parity_label(enc.rep.system, iz) * parity_label(enc.rep.system, izd)
+        defect = float(np.max(np.abs(neutral.to_matrix() @ e - e)))
         if defect > ENCODING_TOL:
             raise AssertionError(f"encoding leaves the neutral-parity subspace: {defect:.3e}")
 
@@ -283,13 +283,15 @@ def parity_conjugation_table(rep: BraidRepresentation, word: BraidWord,
     if rep.system.n_modes != 8:
         raise ValueError("the parity table is defined on an 8-parafermion system")
     u = compose_braid(rep, word)
-    parities = {i: parity(rep.system, i) for i in range(1, 8)}
+    sys_ = rep.system
+    labels = {i: parity_label(sys_, i) for i in range(1, 8)}
     entries = {}
     for index, factors in EXPECTED_ENTANGLING_TABLE.items():
-        image = u @ parities[index] @ u.dag()
-        target = DenseOperator.identity(rep.system.system)
+        image = u @ labels[index].to_operator() @ u.dag()
+        target = PauliLabel.identity(sys_.d, sys_.n_pairs)
         for which, power in factors:
-            target = target @ parities[which].power(power % rep.system.d)
+            target = target * labels[which] ** power
+        target = target.to_operator()
         lam = equal_up_to_phase(image, target, tol)
         if lam is None:
             residual = image.max_diff(target)
@@ -297,8 +299,8 @@ def parity_conjugation_table(rep: BraidRepresentation, word: BraidWord,
         else:
             residual = image.max_diff(lam * target)
             entries[index] = ParityTableEntry(index, True, lam, residual)
-    neutral_a = parities[1] @ parities[3]
-    neutral_b = parities[5] @ parities[7]
+    neutral_a = (labels[1] * labels[3]).to_operator()
+    neutral_b = (labels[5] * labels[7]).to_operator()
     res_a = (u @ neutral_a @ u.dag()).max_diff(neutral_a)
     res_b = (u @ neutral_b @ u.dag()).max_diff(neutral_b)
     return ParityTable(entries, res_a, res_b)
@@ -333,7 +335,7 @@ def certificate_r(d: int) -> int:
 
 
 def braid_generator_tableaux(d: int, n_logical: int, r: int | None = None,
-                             sign: int = +1) -> list["CliffordTableau"]:
+                             sign: int = +1) -> list[CliffordTableau]:
     """Conjugation tableaux of the braid-derived logical gate generators.
 
     n_logical = 1: only U1 (the diagonal braid gate) and the composite
@@ -345,8 +347,6 @@ def braid_generator_tableaux(d: int, n_logical: int, r: int | None = None,
     braid (the repeated inverse-S word for odd d, a single inverse S for
     even d).
     """
-    from .clifford import clifford_membership
-
     if r is None:
         r = certificate_r(d)
     enc = build_encoding(d, n_logical, r=r, sign=sign)

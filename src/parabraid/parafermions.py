@@ -10,8 +10,10 @@ gamma_j gamma_k = omega**sgn(k-j) gamma_k gamma_j.  The parity of the pair
 (gamma_i, gamma_{i+1}) is Lambda_i = omega**((d+1)/2) gamma_i gamma_{i+1}^dag,
 a local monomial operator with spectrum {1, omega, .., omega**(d-1)}.
 
-All invariants are validated eagerly at construction time; a convention bug
-surfaces as a build failure rather than a wrong result downstream.
+Every gamma_j and Lambda_i is an exact PauliLabel, made dense by to_matrix.
+The build checks the defining relations exactly (a label power and a
+symplectic product), so a convention bug fails the build rather than a
+result downstream; the dense check_* functions are the independent oracles.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .clifford import PauliLabel, symplectic_product
 from .phases import CyclotomicPhase
-from .systems import DenseOperator, QuditSystem, fourier_gate, local_pauli, pauli_x, pauli_z
+from .systems import DenseOperator, QuditSystem, fourier_gate, local_pauli
 
 BUILD_TOL = 1e-12
 
@@ -33,6 +36,7 @@ class ParafermionSystem:
     d: int
     n_pairs: int
     system: QuditSystem
+    labels: tuple[PauliLabel, ...] = field(repr=False)
     gammas: tuple[DenseOperator, ...] = field(repr=False)
 
     @property
@@ -45,36 +49,27 @@ class ParafermionSystem:
             raise IndexError(f"parafermion index {j} out of range 1..{self.n_modes}")
         return self.gammas[j - 1]
 
-    def parity(self, i: int) -> DenseOperator:
-        return parity(self, i)
 
+def build_parafermions(d: int, n_pairs: int) -> ParafermionSystem:
+    """Construct the Jordan-Wigner parafermions and check their algebra exactly.
 
-def build_parafermions(d: int, n_pairs: int, validate: bool = True) -> ParafermionSystem:
-    """Construct the Jordan-Wigner parafermions and check their algebra.
-
-    Raises ValueError if any defining relation fails beyond 1e-12, which
-    at desk scale only happens on an implementation bug.
+    Raises ValueError if some gamma_j**d is not the identity or some pair
+    j < k fails gamma_j gamma_k = omega gamma_k gamma_j.
     """
     if n_pairs < 1:
         raise ValueError(f"need at least one parafermion pair, got {n_pairs}")
     system = QuditSystem(d, n_pairs)
-    xs = [pauli_x(system, i + 1) for i in range(n_pairs)]
-    zs = [pauli_z(system, i + 1) for i in range(n_pairs)]
-    half_omega = CyclotomicPhase.omega_half(d, d + 1).as_complex()
-
-    gammas: list[DenseOperator] = []
-    string = DenseOperator.identity(system)
+    labels = []
     for i in range(n_pairs):
-        gammas.append(string @ zs[i])
-        string = string @ xs[i]
-        gammas.append(half_omega * (string @ zs[i]))
-
-    sys_ = ParafermionSystem(d, n_pairs, system, tuple(gammas))
-    if validate:
-        residual = check_defining_relations(sys_)
-        if residual > BUILD_TOL:
-            raise ValueError(f"parafermion algebra violated: residual {residual:.3e}")
-    return sys_
+        z = tuple(int(q == i) for q in range(n_pairs))
+        labels.append(PauliLabel(d, n_pairs, 0, tuple(int(q < i) for q in range(n_pairs)), z))
+        labels.append(PauliLabel(d, n_pairs, d + 1, tuple(int(q <= i) for q in range(n_pairs)), z))
+    identity = PauliLabel.identity(d, n_pairs)
+    for j, g in enumerate(labels):
+        if g ** d != identity or any(symplectic_product(g.vector(), h.vector(), d, n_pairs) != 1
+                                     for h in labels[j + 1:]):
+            raise ValueError(f"parafermion algebra violated at gamma_{j + 1}")
+    return ParafermionSystem(d, n_pairs, system, tuple(labels), tuple(g.to_operator() for g in labels))
 
 
 def check_defining_relations(sys_: ParafermionSystem) -> float:
@@ -95,12 +90,18 @@ def check_defining_relations(sys_: ParafermionSystem) -> float:
     return worst
 
 
-def parity(sys_: ParafermionSystem, i: int) -> DenseOperator:
-    """Pair parity Lambda_i = omega**((d+1)/2) gamma_i gamma_{i+1}^dag."""
+def parity_label(sys_: ParafermionSystem, i: int) -> PauliLabel:
+    """Pair parity Lambda_i = omega**((d+1)/2) gamma_i gamma_{i+1}^dag, exactly."""
     if not 1 <= i <= sys_.n_modes - 1:
         raise IndexError(f"parity index {i} out of range 1..{sys_.n_modes - 1}")
-    pref = CyclotomicPhase.omega_half(sys_.d, sys_.d + 1).as_complex()
-    return pref * (sys_.gamma(i) @ sys_.gamma(i + 1).dag())
+    d, n = sys_.d, sys_.n_pairs
+    pref = PauliLabel(d, n, d + 1, (0,) * n, (0,) * n)
+    return pref * sys_.labels[i - 1] * sys_.labels[i].inverse()
+
+
+def parity(sys_: ParafermionSystem, i: int) -> DenseOperator:
+    """Dense Lambda_i."""
+    return parity_label(sys_, i).to_operator()
 
 
 def all_parities(sys_: ParafermionSystem) -> tuple[DenseOperator, ...]:
@@ -109,10 +110,10 @@ def all_parities(sys_: ParafermionSystem) -> tuple[DenseOperator, ...]:
 
 def overall_parity(sys_: ParafermionSystem) -> DenseOperator:
     """Product Lambda_1 Lambda_3 ... Lambda_{2n-1}, conserved by all braids."""
-    out = DenseOperator.identity(sys_.system)
+    out = PauliLabel.identity(sys_.d, sys_.n_pairs)
     for i in range(1, sys_.n_modes, 2):
-        out = out @ parity(sys_, i)
-    return out
+        out = out * parity_label(sys_, i)
+    return out.to_operator()
 
 
 @dataclass(frozen=True)

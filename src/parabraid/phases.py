@@ -34,10 +34,6 @@ class CyclotomicPhase:
         return 8 * self.d
 
     @classmethod
-    def one(cls, d: int) -> "CyclotomicPhase":
-        return cls(0, d)
-
-    @classmethod
     def omega(cls, d: int, power: int = 1) -> "CyclotomicPhase":
         """omega**power with omega = exp(2*pi*i/d)."""
         return cls(8 * power, d)

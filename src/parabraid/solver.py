@@ -23,8 +23,11 @@ operation.  The local dimension of the solution manifold at a
 representative starts from the null space of the real Jacobian beyond the
 one direction that is always null (the global phase) and validates each
 candidate direction with a second-order probe; see manifold_dimension.
-Everything is deterministic for a fixed seed: starts are drawn up front and
-processed in order, and cluster identity is first-come.
+Starts are drawn up front and processed in order, and cluster identity is
+first-come, so at d = 2 and 3 a fixed seed gives the same clusters, and at
+every d the same quantised report bytes.  At d = 4 the solutions form a
+continuum and MINPACK's iterates can depend on the process's heap layout,
+so the number of point clusters at one seed can differ between processes.
 """
 
 from __future__ import annotations

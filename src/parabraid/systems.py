@@ -128,9 +128,6 @@ class DenseOperator:
     def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
         return self.unitarity_defect() <= tol
 
-    def equal(self, other: "DenseOperator", tol: float = DEFAULT_TOL) -> bool:
-        return self.max_diff(other) <= tol
-
     def commutator_norm(self, other: "DenseOperator") -> float:
         return float(np.max(np.abs(self.mat @ other.mat - other.mat @ self.mat)))
 

@@ -2,13 +2,16 @@
 
 Everything here sticks to brute force or a code path disjoint from the
 package internals it checks: matrix-level group enumeration with canonical
-phase normalization, determinant counting over Z_d, a transvection sweep
+phase normalization, the Jordan-Wigner parafermions as dense string
+products, determinant counting over Z_d, a transvection sweep
 for the four-dimensional symplectic group over Z_3, tableau group closure
 one composition at a time, and the solver residual and Jacobian entry
 by entry.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -41,6 +44,31 @@ def matrix_group_order(generators: list[np.ndarray], limit: int = 2_000_000) -> 
                         raise RuntimeError("matrix group enumeration exceeded the limit")
         frontier = fresh
     return len(seen)
+
+
+def jordan_wigner_gammas(d: int, n_pairs: int) -> list[np.ndarray]:
+    """Dense parafermions gamma_1 .. gamma_{2n} by the Jordan-Wigner string product.
+
+    gamma_{2i-1} = (prod_{j<i} X_j) Z_i and
+    gamma_{2i} = omega**((d+1)/2) (prod_{j<=i} X_j) Z_i, with
+    omega**(1/2) = exp(i pi / d), X|k> = |k+1 mod d>, Z|k> = omega**k |k>
+    and qudit 1 the most significant Kronecker factor; the string is
+    accumulated one dense matrix product at a time.
+    """
+    x = np.roll(np.eye(d), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+
+    def on(q: int, local: np.ndarray) -> np.ndarray:
+        return reduce(np.kron, [local if p == q else np.eye(d) for p in range(n_pairs)])
+
+    half = np.exp(1j * np.pi * (d + 1) / d)
+    gammas = []
+    string = np.eye(d**n_pairs)
+    for i in range(n_pairs):
+        gammas.append(string @ on(i, z))
+        string = string @ on(i, x)
+        gammas.append(half * (string @ on(i, z)))
+    return gammas
 
 
 def sl2_order(d: int) -> int:

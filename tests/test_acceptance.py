@@ -54,7 +54,7 @@ def test_criterion_01_algebra_suite():
     failures = []
     for d in range(2, 7):
         for n_pairs in range(1, 4):
-            sys_ = build_parafermions(d, n_pairs, validate=False)
+            sys_ = build_parafermions(d, n_pairs)
             residual = check_defining_relations(sys_)
             algebra = check_parity_algebra(sys_) if n_pairs >= 1 else None
             worst = max(residual, algebra.max_residual)

@@ -50,6 +50,21 @@ def test_clifford_key_overflow_is_usage_error(monkeypatch, capsys):
     assert "largest supported d at n = 2 is 7" in capsys.readouterr().err
 
 
+def test_gates_generator_index_out_of_range_is_usage_error(monkeypatch, capsys):
+    # the largest encoding has 8 parafermions, so generators 1..7; refuse 9
+    # before building any encoding
+    def no_build(*args, **kwargs):
+        raise AssertionError("encoding built before the index check")
+
+    monkeypatch.setattr(cli, "build_encoding", no_build)
+    with pytest.raises(SystemExit) as err:
+        run_cli(["gates", "--d", "3", "--braid", "9"])
+    assert err.value.code == 2
+    assert "generator index 9 is out of range 1..7" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="encoding built"):
+        run_cli(["gates", "--d", "3", "--braid", "7"])
+
+
 def test_report_all_rejects_jobs(tmp_path):
     with pytest.raises(SystemExit) as err:
         run_cli(["report-all", "--d-max", "2", "--out", str(tmp_path / "r.json"),

@@ -1,18 +1,26 @@
-"""Static check: every import in the package modules is used.
+"""Static checks: every import in the package modules is used, and so is
+every definition.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library.  A name bound by an import counts as used when
 it is read anywhere in the module (as a bare name or as the base of an
 attribute access).  The package ``__init__`` is exempt: its imports are the
 public re-exports.
+
+A function, class or method defined in the package counts as used when its
+name is read somewhere under src/, tests/ or perfbench/: as a bare name, as
+an attribute, or as a whole string constant (perfbench looks functions up
+by name).  Importing a name is not a use.  Dunder methods are exempt.
 """
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "parabraid"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "parabraid"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -39,3 +47,66 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     source = "import math\nimport numpy as np\nfrom os import path, sep\nx = np.pi + len(sep)\n"
     assert unused_imports(source) == ["line 1: math", "line 3: path"]
+
+
+def definitions(source: str) -> list[tuple[int, str]]:
+    """(line, qualified name) of every non-dunder function, class and method."""
+    out = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    out.append((child.lineno, prefix + child.name))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def referenced_names(sources) -> set[str]:
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def dead_definitions(source: str, referenced: set[str]) -> list[str]:
+    return [f"line {line}: {name}" for line, name in definitions(source)
+            if name.rsplit(".", 1)[-1] not in referenced]
+
+
+@lru_cache(maxsize=1)
+def project_references() -> frozenset[str]:
+    files = [p for top in ("src", "tests", "perfbench") for p in (ROOT / top).rglob("*.py")]
+    return frozenset(referenced_names(p.read_text(encoding="utf-8") for p in files))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_dead_definitions(path):
+    assert dead_definitions(path.read_text(encoding="utf-8"), project_references()) == []
+
+
+def test_checker_flags_a_dead_definition():
+    source = (
+        "class Box:\n"
+        "    def __repr__(self): return 'Box'\n"
+        "    def used(self): return 1\n"
+        "    def unused(self): return 2\n"
+        "def helper(): return Box().used()\n"
+        "def orphan(): return helper()\n"
+        "def traced(): pass\n"
+        "from os import sep\n"
+    )
+    caller = "import mod\nmod.helper()\nx = Box\nSPANS = [('mod', 'traced')]\n"
+    referenced = referenced_names([source, caller])
+    assert dead_definitions(source, referenced) == ["line 4: Box.unused", "line 6: orphan"]
+    assert "sep" not in referenced

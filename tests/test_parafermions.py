@@ -9,7 +9,9 @@ from parabraid.parafermions import (
     parity,
     parity_eigenbasis,
 )
-from parabraid.systems import SizeBoundError, pauli_x, pauli_z
+from parabraid.systems import DenseOperator, SizeBoundError, pauli_x, pauli_z
+
+from oracles import jordan_wigner_gammas
 
 
 def test_majorana_pair():
@@ -25,6 +27,39 @@ def test_majorana_pair():
 def test_defining_relations_full_table(d, n_pairs):
     sys_ = build_parafermions(d, n_pairs)
     assert check_defining_relations(sys_) < 1e-12
+
+
+@pytest.mark.parametrize("d,n_pairs", [(d, n) for d in range(2, 7) for n in range(1, 9)
+                                       if d ** n <= 256])
+def test_labels_match_jordan_wigner_oracle(d, n_pairs):
+    sys_ = build_parafermions(d, n_pairs)
+    gammas = jordan_wigner_gammas(d, n_pairs)
+    half = np.exp(1j * np.pi * (d + 1) / d)
+    assert len(sys_.gammas) == len(gammas) == 2 * n_pairs
+    for got, want in zip(sys_.gammas, gammas):
+        assert np.max(np.abs(got.mat - want)) < 1e-14
+    total = np.eye(d ** n_pairs)
+    for i in range(1, 2 * n_pairs):
+        want = half * (gammas[i - 1] @ gammas[i].conj().T)
+        assert np.max(np.abs(parity(sys_, i).mat - want)) < 1e-14
+        if i % 2 == 1:
+            total = total @ want
+    assert np.max(np.abs(overall_parity(sys_).mat - total)) < 1e-14
+
+
+def test_build_makes_no_dense_products(monkeypatch):
+    calls = []
+    original = DenseOperator.__matmul__
+
+    def counting(self, other):
+        calls.append(self.dim)
+        return original(self, other)
+
+    monkeypatch.setattr(DenseOperator, "__matmul__", counting)
+    sys_ = build_parafermions(4, 4)
+    assert calls == []
+    sys_.gamma(1) @ sys_.gamma(2)  # the counter does see dense products
+    assert calls == [256]
 
 
 def test_exchange_example_d3():
