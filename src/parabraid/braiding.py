@@ -12,6 +12,13 @@ by the CLI and fixtures is written in operator order instead (leftmost
 factor applied last, the way products are usually typeset), and parsing
 reverses it; both notations of the canonical entangling words are stored
 below to keep the two conventions honest against each other.
+
+For the quadratic-phase (FZC) family, with Lambda_i P = omega**s P Lambda_i,
+U_i P U_i^dag = omega**(-s(s+2r+d)/2) P Lambda_i**(-s) for every Pauli label
+P (phase exponent -s(s+2r+d) mod 2d), and the - sign family is the inverse
+of the + family at -r.  braid_tableau composes this law into the exact
+tableau of a word; the dense unitaries are its oracle and the only path for
+other coefficient vectors.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import CoefficientVector, FZCParams, fzc_coefficients, unitarity_residual
-from .clifford import symplectic_product
+from .clifford import CliffordTableau, PauliLabel, symplectic_product
 from .parafermions import ParafermionSystem, build_parafermions, overall_parity, parity_eigenbasis, \
     parity_label
 from .phases import CyclotomicPhase, phase_from_complex
@@ -198,6 +205,25 @@ def compose_braid(rep: BraidRepresentation, word: BraidWord) -> DenseOperator:
     return out
 
 
+def exchange_conjugation(system: ParafermionSystem, params: FZCParams, i: int, exp: int,
+                         label: PauliLabel) -> PauliLabel:
+    """U_i**exp P U_i**(-exp) for the FZC generator U_i, by the closed-form law."""
+    d, n = system.d, system.n_pairs
+    e = exp * params.sign  # the - sign family conjugates like the inverse + family at -r
+    lam = parity_label(system, i)
+    s = symplectic_product(lam.vector(), label.vector(), d, n)
+    phase = PauliLabel(d, n, -e * s * (s + 2 * params.sign * params.r + d), (0,) * n, (0,) * n)
+    return phase * label * lam ** (-e * s)
+
+
+def braid_tableau(system: ParafermionSystem, params: FZCParams, word: BraidWord) -> CliffordTableau:
+    """Exact conjugation tableau of a braid word's FZC unitary on the physical qudits."""
+    images = CliffordTableau.identity(system.d, system.n_pairs).images
+    for idx, exp in word.entries:  # entry 0 acts first, so it conjugates first
+        images = tuple(exchange_conjugation(system, params, idx, exp, img) for img in images)
+    return CliffordTableau(system.d, system.n_pairs, images)
+
+
 @dataclass(frozen=True)
 class RepresentationReport:
     unitarity: float
@@ -245,14 +271,15 @@ def check_representation(rep: BraidRepresentation) -> RepresentationReport:
 class ConjugationResult:
     """Images of the exchanged pair under conjugation by U_i.
 
-    For the + sign quadratic-phase family the closed-form law
+    For the + sign quadratic-phase family the dense images are compared with
+    the exact images of exchange_conjugation (`residual` is the worst matrix
+    mismatch), and their phases against the monomials of the law
 
         gamma_i     -> omega**(-r)   gamma_{i+1}
         gamma_{i+1} -> omega**(1-r)  gamma_i^dag (gamma_{i+1})**2
 
-    is verified; `residual` is the worst matrix mismatch and the extracted
-    phases are quantized into the exact ring.  For other coefficient
-    vectors only the raw conjugated matrices are returned.
+    are quantized into the exact ring.  For other coefficient vectors only
+    the raw conjugated matrices are returned.
     """
 
     image_first: DenseOperator
@@ -270,14 +297,13 @@ def conjugation_action(rep: BraidRepresentation, i: int, tol: float = 1e-10) -> 
     img2 = u @ g2 @ u.dag()
     if rep.fzc is None or rep.fzc.sign != +1:
         return ConjugationResult(img1, img2)
-    d, r = rep.fzc.d, rep.fzc.r
+    d = rep.fzc.d
     labels = rep.system.labels
-    g1dag_g2sq = (labels[i - 1].inverse() * labels[i] ** 2).to_operator()
-    target1 = CyclotomicPhase.omega(d, -r).as_complex() * g2
-    target2 = CyclotomicPhase.omega(d, 1 - r).as_complex() * g1dag_g2sq
+    target1, target2 = (exchange_conjugation(rep.system, rep.fzc, i, +1, g).to_operator()
+                        for g in labels[i - 1:i + 1])
     residual = max(img1.max_diff(target1), img2.max_diff(target2))
     lam1 = equal_up_to_phase(img1, g2, tol)
-    lam2 = equal_up_to_phase(img2, g1dag_g2sq, tol)
+    lam2 = equal_up_to_phase(img2, (labels[i - 1].inverse() * labels[i] ** 2).to_operator(), tol)
     phase1 = phase_from_complex(lam1, d) if lam1 is not None else None
     phase2 = phase_from_complex(lam2, d) if lam2 is not None else None
     return ConjugationResult(img1, img2, residual, phase1, phase2)

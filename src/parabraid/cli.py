@@ -186,9 +186,8 @@ def cmd_gates(d: int, r: int, braid: str) -> tuple[RunReport, dict]:
     t0 = time.perf_counter()
     n_logical = 2 if word.max_index() > 3 else 1
     enc = build_encoding(d, n_logical, r=r)
-    restricted, leakage = restrict_word(enc, word)
-    out.add(Check("leakage", leakage, 1e-10))
     gate = identify_gate(enc, word)
+    out.add(Check("leakage", gate.leakage, 1e-10))
     out.add(flag_check("gate_identified", gate.name != "unknown"))
 
     if name in ("S", "Sdag", "T", "CX") and r == 0:
@@ -200,7 +199,7 @@ def cmd_gates(d: int, r: int, braid: str) -> tuple[RunReport, dict]:
             "T": cz.power(2),
             "CX": cx,
         }[name]
-        lam = equal_up_to_phase(restricted, expected, 1e-9)
+        lam = equal_up_to_phase(gate.matrix, expected, 1e-9)
         out.add(flag_check("matches_expected_gate", lam is not None))
     out.wall_time_ms = (time.perf_counter() - t0) * 1000
     return out, gate.to_json(word.to_text())
@@ -260,11 +259,10 @@ def cmd_entangling(d: int) -> RunReport:
                        equal_up_to_phase(tt, cz.power(2), 1e-9) is not None))
 
     if d <= 4:
-        table = parity_conjugation_table(enc.rep, canonical_word("S"))
-        worst = max(e.residual for e in table.entries.values())
-        out.add(Check("parity_table_residual", worst if table.all_matched else 1.0, 1e-9))
-        out.add(Check("neutral_parities_fixed",
-                      max(table.neutral_a_residual, table.neutral_b_residual), 1e-9))
+        table = parity_conjugation_table(enc.rep.system, enc.rep.fzc, canonical_word("S"))
+        # Exact flags, kept as residual checks with their tolerance so the report bytes hold.
+        out.add(Check("parity_table_residual", 0.0 if table.all_matched else 1.0, 1e-9))
+        out.add(Check("neutral_parities_fixed", 0.0 if table.neutral_parities_fixed else 1.0, 1e-9))
     if d % 2 == 1:
         word = canonical_word("S_dagger").power((d + 1) // 2)
         tcx, leak = restrict_word(enc, word)
@@ -308,6 +306,13 @@ def _positive_dimension(value: str) -> int:
     return number
 
 
+def _positive_limit(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"closure limit must be >= 1, got {number}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parabraid",
@@ -338,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_dimension, required=True)
     p.add_argument("--n", type=int, choices=(1, 2), default=1)
     p.add_argument("--generators", choices=("braid", "reference"), default="braid")
-    p.add_argument("--limit", type=int, default=DEFAULT_CLOSURE_LIMIT)
+    p.add_argument("--limit", type=_positive_limit, default=DEFAULT_CLOSURE_LIMIT)
     p.add_argument("--json", type=str, default=None)
 
     p = sub.add_parser("report-all", help="run the verification matrix and write reports")

@@ -1,19 +1,23 @@
 """Logical qudits in parafermion quadruplets and identification of braid gates.
 
-One logical qudit lives in the neutral-parity subspace (Lambda_1 Lambda_3 = 1)
-of four parafermions; its basis states are |k>_L = |k>_1 (x) |d-k>_3 in the
-Fourier-convention eigenbases of Lambda_1 and Lambda_3.  On this subspace
+Logical qudit q lives on parafermions 4q-3..4q, in the neutral-parity
+subspace of the stabilizer S_q = Lambda_{4q-3} Lambda_{4q-1}; its basis
+states are |k>_L = |k> (x) |d-k> in the Fourier-convention eigenbases of
+Lambda_{4q-3} and Lambda_{4q-1}.  On this subspace
 
-    T(Lambda_1) = Z,  T(Lambda_2) = X,  T(Lambda_3) = Zdag,
+    T(Lambda_{4q-3}) = Z_q,  T(Lambda_{4q-2}) = X_q,  T(Lambda_{4q-1}) = Zdag_q,
 
-where T(A) = Edag A E is restriction by the encoding isometry E.  A second
-quadruplet (parafermions 5..8) carries logical qudit B with the analogous
-relations for Lambda_5, Lambda_6, Lambda_7.
+where T(A) = Edag A E is restriction by the encoding isometry E.
 
 The fixed eigenvector phase convention makes the braid gate identities exact
 matrix equalities, e.g. T(U_1 U_2 U_1) equals the inverse Fourier gate times
 the square of the leading diagonal phase, rather than holding only up to
 basis choice.
+
+Clifford braids are restricted exactly too, by stabilizer bookkeeping on
+their tableaux: a word must map each S_q to stabilizers, and a logical image
+omega**(phi/2) X_L**a Z_L**b (times stabilizers) restricts to
+omega**(phi/2) X**a Z**b.
 """
 
 from __future__ import annotations
@@ -22,9 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braiding import BraidRepresentation, BraidWord, canonical_word, compose_braid, diagonal_phases
-from .clifford import CliffordTableau, PauliLabel, clifford_membership, extract_pauli_monomial
-from .parafermions import parity, parity_eigenbasis, parity_label
+from .braiding import BraidRepresentation, BraidWord, braid_tableau, canonical_word, compose_braid, \
+    diagonal_phases
+from .clifford import CliffordTableau, PauliLabel, extract_pauli_monomial, symplectic_product
+from .constraints import FZCParams
+from .parafermions import ParafermionSystem, build_parafermions, parity_eigenbasis, parity_label
 from .phases import CyclotomicPhase, phase_from_complex
 from .systems import (
     DenseOperator,
@@ -88,26 +94,27 @@ def build_encoding(d: int, n_logical: int, r: int = 0, sign: int = +1) -> Encodi
     return enc
 
 
+def code_layout(system: ParafermionSystem) -> list[tuple[PauliLabel, PauliLabel, PauliLabel]]:
+    """(Z_L, X_L, stabilizer) of each logical qudit, one per parafermion quadruplet."""
+    if system.n_modes % 4:
+        raise ValueError(f"logical qudits need whole quadruplets, got {system.n_modes} parafermions")
+    lam = {i: parity_label(system, i) for i in range(1, system.n_modes)}
+    return [(lam[i], lam[i + 1], lam[i] * lam[i + 2]) for i in range(1, system.n_modes, 4)]
+
+
 def _validate_encoding(enc: Encoding) -> None:
     e = enc.isometry
     gram_defect = float(np.max(np.abs(e.conj().T @ e - np.eye(enc.logical_dim))))
     if gram_defect > ENCODING_TOL:
         raise AssertionError(f"encoding columns not orthonormal: {gram_defect:.3e}")
-    pairs = [(1, 2, 3)] if enc.n_logical == 1 else [(1, 2, 3), (5, 6, 7)]
-    for q, (iz, ix, izd) in enumerate(pairs, start=1):
-        z = pauli_z(enc.logical_system, q)
-        x = pauli_x(enc.logical_system, q)
-        for lam_index, target in ((iz, z), (ix, x), (izd, z.dag())):
-            lam = parity(enc.rep.system, lam_index)
-            restricted, leak = restrict(enc, lam)
+    for q, (z_l, x_l, stabilizer) in enumerate(code_layout(enc.rep.system), start=1):
+        for label, make in ((z_l, pauli_z), (x_l, pauli_x)):
+            target = make(enc.logical_system, q)
+            restricted, leak = restrict(enc, label.to_operator())
             if restricted.max_diff(target) > ENCODING_TOL or leak > ENCODING_TOL:
-                raise AssertionError(
-                    f"parity {lam_index} does not restrict to the expected Pauli"
-                )
-    # Image lies in the neutral-parity eigenspace: (Lambda_1 Lambda_3) E = E.
-    for iz, izd in ([(1, 3)] if enc.n_logical == 1 else [(1, 3), (5, 7)]):
-        neutral = parity_label(enc.rep.system, iz) * parity_label(enc.rep.system, izd)
-        defect = float(np.max(np.abs(neutral.to_matrix() @ e - e)))
+                raise AssertionError(f"qudit {q}: a parity does not restrict to the expected Pauli")
+        # Image lies in the neutral-parity eigenspace: S_q E = E.
+        defect = float(np.max(np.abs(stabilizer.to_matrix() @ e - e)))
         if defect > ENCODING_TOL:
             raise AssertionError(f"encoding leaves the neutral-parity subspace: {defect:.3e}")
 
@@ -125,6 +132,34 @@ def restrict(enc: Encoding, op: DenseOperator) -> tuple[DenseOperator, float]:
 
 def restrict_word(enc: Encoding, word: BraidWord) -> tuple[DenseOperator, float]:
     return restrict(enc, compose_braid(enc.rep, word))
+
+
+def logical_tableau(system: ParafermionSystem, physical: CliffordTableau) -> CliffordTableau:
+    """Restriction of a physical conjugation tableau to the code, exactly.
+
+    Raises ValueError, as the dense restriction does, when the word leaks.
+    """
+    layout = code_layout(system)
+    d, n = system.d, system.n_pairs
+
+    def logical(label: PauliLabel) -> PauliLabel:
+        image = physical.apply(label)
+        if any(symplectic_product(s.vector(), image.vector(), d, n) for _, _, s in layout):
+            raise ValueError("braid word leaks out of the computational subspace")
+        # Z_L X_L = omega X_L Z_L reads off a, b in image = X_L**a Z_L**b * rest.
+        a = [symplectic_product(z_l.vector(), image.vector(), d, n) for z_l, _, _ in layout]
+        b = [symplectic_product(image.vector(), x_l.vector(), d, n) for _, x_l, _ in layout]
+        rest = image
+        for (z_l, x_l, _), a_q, b_q in zip(layout, a, b):
+            rest = rest * (x_l ** a_q * z_l ** b_q).inverse()
+        # rest commutes with the whole code, so it is a phase times stabilizers,
+        # each Xdag Xdag with phase exponent 0: its phase is that of T(image).
+        return PauliLabel(d, len(layout), rest.phase, tuple(a), tuple(b))
+
+    if any(logical(s) != PauliLabel.identity(d, len(layout)) for _, _, s in layout):
+        raise ValueError("braid word leaks out of the computational subspace")
+    images = [logical(x_l) for _, x_l, _ in layout] + [logical(z_l) for z_l, _, _ in layout]
+    return CliffordTableau(d, len(layout), tuple(images))
 
 
 @dataclass(frozen=True)
@@ -253,57 +288,40 @@ EXPECTED_ENTANGLING_TABLE = {
 
 
 @dataclass(frozen=True)
-class ParityTableEntry:
-    index: int
-    matched: bool
-    phase: complex | None
-    residual: float
-
-
-@dataclass(frozen=True)
 class ParityTable:
-    entries: dict[int, ParityTableEntry]
-    neutral_a_residual: float
-    neutral_b_residual: float
+    """phases[i]: phase exponent (mod 2d) of the image of Lambda_i over its
+    expected monomial, None when the image is another monomial."""
+
+    phases: dict[int, int | None]
+    neutral_parities_fixed: bool
 
     @property
     def all_matched(self) -> bool:
-        return all(e.matched for e in self.entries.values())
+        return all(p is not None for p in self.phases.values())
 
 
-def parity_conjugation_table(rep: BraidRepresentation, word: BraidWord,
-                             tol: float = IDENTIFY_TOL) -> ParityTable:
-    """Conjugation of the parity operators by an eight-parafermion braid.
+def parity_conjugation_table(system: ParafermionSystem, params: FZCParams,
+                             word: BraidWord) -> ParityTable:
+    """Conjugation of the parity operators by an eight-parafermion FZC braid.
 
     Each image is compared, up to a recorded phase, against the expected
     parity monomial for the entangling braid; the two neutral-parity
     products must be fixed exactly, which is what preserving both logical
     subspaces means.
     """
-    if rep.system.n_modes != 8:
+    if system.n_modes != 8:
         raise ValueError("the parity table is defined on an 8-parafermion system")
-    u = compose_braid(rep, word)
-    sys_ = rep.system
-    labels = {i: parity_label(sys_, i) for i in range(1, 8)}
-    entries = {}
+    tab = braid_tableau(system, params, word)
+    phases = {}
     for index, factors in EXPECTED_ENTANGLING_TABLE.items():
-        image = u @ labels[index].to_operator() @ u.dag()
-        target = PauliLabel.identity(sys_.d, sys_.n_pairs)
+        target = PauliLabel.identity(system.d, system.n_pairs)
         for which, power in factors:
-            target = target * labels[which] ** power
-        target = target.to_operator()
-        lam = equal_up_to_phase(image, target, tol)
-        if lam is None:
-            residual = image.max_diff(target)
-            entries[index] = ParityTableEntry(index, False, None, residual)
-        else:
-            residual = image.max_diff(lam * target)
-            entries[index] = ParityTableEntry(index, True, lam, residual)
-    neutral_a = (labels[1] * labels[3]).to_operator()
-    neutral_b = (labels[5] * labels[7]).to_operator()
-    res_a = (u @ neutral_a @ u.dag()).max_diff(neutral_a)
-    res_b = (u @ neutral_b @ u.dag()).max_diff(neutral_b)
-    return ParityTable(entries, res_a, res_b)
+            target = target * parity_label(system, which) ** power
+        image = tab.apply(parity_label(system, index))
+        matched = image.vector() == target.vector()
+        phases[index] = (image.phase - target.phase) % (2 * system.d) if matched else None
+    fixed = all(tab.apply(s) == s for _, _, s in code_layout(system))
+    return ParityTable(phases, fixed)
 
 
 def entangling_words(d: int) -> dict[str, BraidWord]:
@@ -346,30 +364,16 @@ def braid_generator_tableaux(d: int, n_logical: int, r: int | None = None,
     n_logical = 2: both gates on each encoded qudit plus the entangling
     braid (the repeated inverse-S word for odd d, a single inverse S for
     even d).
+
+    Computed with no matrix: braid_tableau composes each word from the
+    closed-form exchange law and logical_tableau restricts it to the code.
     """
-    if r is None:
-        r = certificate_r(d)
-    enc = build_encoding(d, n_logical, r=r, sign=sign)
-    if n_logical == 1:
-        words = [BraidWord.from_text("1"), canonical_word("F")]
-    else:
-        words = [
-            BraidWord.from_text("1"),
-            canonical_word("F"),
-            BraidWord.from_text("5"),
-            BraidWord.from_text("5 6 5"),
-        ]
-        if d % 2 == 1:
-            words.append(canonical_word("S_dagger").power((d + 1) // 2))
-        else:
-            words.append(canonical_word("S_dagger"))
-    out = []
-    for word in words:
-        restricted, leakage = restrict_word(enc, word)
-        if leakage > LEAKAGE_TOL:
-            raise ValueError(f"braid generator leaks: {leakage:.3e}")
-        tab = clifford_membership(restricted)
-        if tab is None:
-            raise ValueError("braid generator is not a Clifford gate")
-        out.append(tab)
-    return out
+    if n_logical not in (1, 2):
+        raise ValueError(f"n_logical must be 1 or 2, got {n_logical}")
+    params = FZCParams(d, certificate_r(d) if r is None else r, sign)
+    system = build_parafermions(d, 2 * n_logical)
+    words = [BraidWord.from_text("1"), canonical_word("F")]
+    if n_logical == 2:
+        words += [BraidWord.from_text("5"), BraidWord.from_text("5 6 5"),
+                  canonical_word("S_dagger").power((d + 1) // 2 if d % 2 == 1 else 1)]
+    return [logical_tableau(system, braid_tableau(system, params, word)) for word in words]

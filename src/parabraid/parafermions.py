@@ -37,17 +37,16 @@ class ParafermionSystem:
     n_pairs: int
     system: QuditSystem
     labels: tuple[PauliLabel, ...] = field(repr=False)
-    gammas: tuple[DenseOperator, ...] = field(repr=False)
 
     @property
     def n_modes(self) -> int:
         return 2 * self.n_pairs
 
     def gamma(self, j: int) -> DenseOperator:
-        """gamma_j, 1-based."""
+        """Dense gamma_j, 1-based."""
         if not 1 <= j <= self.n_modes:
             raise IndexError(f"parafermion index {j} out of range 1..{self.n_modes}")
-        return self.gammas[j - 1]
+        return self.labels[j - 1].to_operator()
 
 
 def build_parafermions(d: int, n_pairs: int) -> ParafermionSystem:
@@ -69,7 +68,7 @@ def build_parafermions(d: int, n_pairs: int) -> ParafermionSystem:
         if g ** d != identity or any(symplectic_product(g.vector(), h.vector(), d, n_pairs) != 1
                                      for h in labels[j + 1:]):
             raise ValueError(f"parafermion algebra violated at gamma_{j + 1}")
-    return ParafermionSystem(d, n_pairs, system, tuple(labels), tuple(g.to_operator() for g in labels))
+    return ParafermionSystem(d, n_pairs, system, tuple(labels))
 
 
 def check_defining_relations(sys_: ParafermionSystem) -> float:
@@ -77,13 +76,14 @@ def check_defining_relations(sys_: ParafermionSystem) -> float:
     d = sys_.d
     omega = CyclotomicPhase.omega(d).as_complex()
     eye = np.eye(sys_.system.dim)
+    gammas = [sys_.gamma(j) for j in range(1, sys_.n_modes + 1)]
     worst = 0.0
-    for g in sys_.gammas:
+    for g in gammas:
         worst = max(worst, g.unitarity_defect())
         worst = max(worst, float(np.max(np.abs(g.power(d).mat - eye))))
     for j in range(sys_.n_modes):
         for k in range(j + 1, sys_.n_modes):
-            gj, gk = sys_.gammas[j], sys_.gammas[k]
+            gj, gk = gammas[j], gammas[k]
             lhs = gj.mat @ gk.mat
             rhs = omega * (gk.mat @ gj.mat)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))

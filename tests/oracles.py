@@ -3,7 +3,8 @@
 Everything here sticks to brute force or a code path disjoint from the
 package internals it checks: matrix-level group enumeration with canonical
 phase normalization, the Jordan-Wigner parafermions as dense string
-products, determinant counting over Z_d, a transvection sweep
+products, braid generator tableaux read off dense restricted unitaries,
+determinant counting over Z_d, a transvection sweep
 for the four-dimensional symplectic group over Z_3, tableau group closure
 one composition at a time, and the solver residual and Jacobian entry
 by entry.
@@ -69,6 +70,45 @@ def jordan_wigner_gammas(d: int, n_pairs: int) -> list[np.ndarray]:
         string = string @ on(i, x)
         gammas.append(half * (string @ on(i, z)))
     return gammas
+
+
+def dense_braid_tableaux(d: int, n_logical: int, r: int | None = None, sign: int = +1) -> list:
+    """braid_generator_tableaux through dense matrices.
+
+    Builds the encoding isometry and the braid representation, restricts
+    each generator word's unitary to the code, and reads its tableau off the
+    matrix with clifford_membership.
+    """
+    from parabraid.braiding import BraidWord, canonical_word
+    from parabraid.clifford import clifford_membership
+    from parabraid.encoding import LEAKAGE_TOL, build_encoding, certificate_r, restrict_word
+
+    if r is None:
+        r = certificate_r(d)
+    enc = build_encoding(d, n_logical, r=r, sign=sign)
+    if n_logical == 1:
+        words = [BraidWord.from_text("1"), canonical_word("F")]
+    else:
+        words = [
+            BraidWord.from_text("1"),
+            canonical_word("F"),
+            BraidWord.from_text("5"),
+            BraidWord.from_text("5 6 5"),
+        ]
+        if d % 2 == 1:
+            words.append(canonical_word("S_dagger").power((d + 1) // 2))
+        else:
+            words.append(canonical_word("S_dagger"))
+    out = []
+    for word in words:
+        restricted, leakage = restrict_word(enc, word)
+        if leakage > LEAKAGE_TOL:
+            raise ValueError(f"braid generator leaks: {leakage:.3e}")
+        tab = clifford_membership(restricted)
+        if tab is None:
+            raise ValueError("braid generator is not a Clifford gate")
+        out.append(tab)
+    return out
 
 
 def sl2_order(d: int) -> int:

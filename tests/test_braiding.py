@@ -6,13 +6,16 @@ from parabraid.braiding import (
     CANONICAL_WORD_TEXTS,
     BraidRepresentation,
     BraidWord,
+    braid_tableau,
     canonical_word,
     check_representation,
     compose_braid,
     conjugation_action,
     diagonal_phases,
 )
-from parabraid.constraints import CoefficientVector, d4_family, trivial_vector
+from parabraid.clifford import clifford_membership
+from parabraid.constraints import CoefficientVector, FZCParams, d4_family, fzc_coefficients, \
+    trivial_vector
 from parabraid.parafermions import build_parafermions, parity
 from parabraid.phases import CyclotomicPhase
 from parabraid.systems import DenseOperator
@@ -166,3 +169,28 @@ def test_compose_braid_order_convention():
     u1, u2 = rep.generator(1), rep.generator(2)
     word = BraidWord.from_text("1 2")
     assert compose_braid(rep, word).max_diff(u1 @ u2) < 1e-13
+
+
+@pytest.mark.parametrize("d,n_pairs", [(d, 2) for d in range(2, 8)] + [(d, 3) for d in range(2, 5)])
+def test_exchange_tableaux_match_dense_oracle(d, n_pairs):
+    # the closed-form law for one exchange, every generator, r and sign,
+    # against the tableau read off the dense generator matrix
+    system = build_parafermions(d, n_pairs)
+    for r in range(d):
+        for sign in (+1, -1):
+            rep = BraidRepresentation(system, fzc_coefficients(FZCParams(d, r, sign)),
+                                      fzc=FZCParams(d, r, sign))
+            for i in range(1, system.n_modes):
+                exact = braid_tableau(system, rep.fzc, BraidWord(((i, +1),)))
+                assert exact.key() == clifford_membership(rep.generator(i)).key(), (i, r, sign)
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_word_tableau_matches_dense_oracle(d):
+    # a whole entangling word, inverse letters included, on eight parafermions
+    word = canonical_word("S")
+    for r in range(d):
+        for sign in (+1, -1):
+            rep = BraidRepresentation.from_fzc(d, 4, r, sign)
+            exact = braid_tableau(rep.system, rep.fzc, word)
+            assert exact.key() == clifford_membership(compose_braid(rep, word)).key(), (r, sign)

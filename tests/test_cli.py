@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from parabraid import cli
+from parabraid import cli, encoding
 from parabraid.cli import main
 from parabraid.clifford import ClosureResult
 from parabraid.report import load_schema, markdown_summary, validate_schema
@@ -108,6 +108,22 @@ def test_gates_malformed_word_is_usage_error():
     assert err.value.code == 2
 
 
+def test_gates_composes_the_braid_once(monkeypatch):
+    # the leakage check and the expected-gate match reuse identify_gate's restriction
+    calls = []
+    original = encoding.compose_braid
+
+    def counting(rep, word):
+        calls.append(word)
+        return original(rep, word)
+
+    monkeypatch.setattr(encoding, "compose_braid", counting)
+    report, payload = cli.cmd_gates(3, 0, "S")
+    assert len(calls) == 1
+    assert [c.name for c in report.checks] == ["leakage", "gate_identified", "matches_expected_gate"]
+    assert report.passed and payload["gate"] == "CX^1"
+
+
 def test_gates_nonzero_r(tmp_path):
     out = tmp_path / "gate.json"
     assert run_cli(["gates", "--d", "3", "--r", "1", "--braid", "1",
@@ -167,6 +183,14 @@ def test_clifford_reference_closure_over_limit_is_check_failure(tmp_path, capsys
     payload = json.loads(out.read_text())
     assert payload["order"] is None and payload["matched_reference"] is False
     assert "limit 100" in payload["error"]
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_clifford_limit_below_one_is_usage_error(limit, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["clifford", "--d", "3", "--n", "1", "--limit", limit])
+    assert err.value.code == 2
+    assert f"closure limit must be >= 1, got {limit}" in capsys.readouterr().err
 
 
 def test_clifford_braid_phase_gap_reported():

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 
-from parabraid.braiding import BraidWord, canonical_word, compose_braid, diagonal_phases
+from parabraid.braiding import BraidWord, braid_tableau, canonical_word, compose_braid, diagonal_phases
+from parabraid.clifford import PauliLabel
 from parabraid.constraints import FZCParams, dft_prefactor
 from parabraid.encoding import (
+    braid_generator_tableaux,
     build_encoding,
     certificate_r,
+    code_layout,
     entangling_words,
     identify_gate,
+    logical_tableau,
     parity_conjugation_table,
     pauli_conjugation,
     restrict,
     restrict_word,
 )
-from parabraid.parafermions import parity
+from parabraid.parafermions import build_parafermions, parity
 from parabraid.systems import controlled_phase, controlled_shift, equal_up_to_phase, fourier_gate
+
+from oracles import dense_braid_tableaux
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
@@ -173,24 +179,16 @@ def test_identify_entangling_gate_names():
 
 @pytest.mark.parametrize("d", (2, 3, 4))
 def test_parity_conjugation_table(d):
-    from parabraid.braiding import BraidRepresentation
-
-    rep = BraidRepresentation.from_fzc(d, 4, 0, +1)
-    table = parity_conjugation_table(rep, canonical_word("S"))
+    table = parity_conjugation_table(build_parafermions(d, 4), FZCParams(d, 0), canonical_word("S"))
     assert table.all_matched
-    assert all(e.residual < 1e-9 for e in table.entries.values())
-    # every recorded phase is exactly 1 at r = 0
-    assert all(abs(e.phase - 1) < 1e-9 for e in table.entries.values())
-    assert table.neutral_a_residual < 1e-9
-    assert table.neutral_b_residual < 1e-9
+    # every recorded phase is exactly 1 (phase exponent 0) at r = 0
+    assert table.phases == {i: 0 for i in (1, 2, 3, 5, 6, 7)}
+    assert table.neutral_parities_fixed
 
 
 def test_parity_table_requires_eight_modes():
-    from parabraid.braiding import BraidRepresentation
-
-    rep = BraidRepresentation.from_fzc(3, 2, 0, +1)
     with pytest.raises(ValueError):
-        parity_conjugation_table(rep, canonical_word("S"))
+        parity_conjugation_table(build_parafermions(3, 2), FZCParams(3, 0), canonical_word("S"))
 
 
 def test_entangling_sweep_recorded_not_asserted():
@@ -205,7 +203,7 @@ def test_entangling_sweep_recorded_not_asserted():
             enc = build_encoding(d, 2, r=r, sign=sign)
             tsd, leak = restrict_word(enc, canonical_word("S_dagger"))
             match = equal_up_to_phase(tsd, controlled_shift(d).power(2), 1e-9) is not None
-            table = parity_conjugation_table(enc.rep, canonical_word("S"))
+            table = parity_conjugation_table(enc.rep.system, enc.rep.fzc, canonical_word("S"))
             rows.append((d, r, sign, match, table.all_matched, leak))
     assert all(row[4] for row in rows)          # parity table holds for all r, signs
     assert all(row[5] < 1e-10 for row in rows)  # subspace always preserved
@@ -233,3 +231,66 @@ def test_leakage_matches_projector_oracle():
         _, leakage = restrict(enc, op)
         assert abs(leakage - float(np.max(np.abs(complement @ op.mat @ e)))) < 1e-12
         assert (leakage > 1e-3) == (word == leaky)
+
+
+@pytest.mark.parametrize("d,n", [(d, 1) for d in range(2, 8)] + [(d, 2) for d in range(2, 5)])
+def test_braid_generator_tableaux_match_dense_oracle(d, n):
+    for r in range(d):
+        for sign in (+1, -1):
+            exact = [t.key() for t in braid_generator_tableaux(d, n, r, sign)]
+            assert exact == [t.key() for t in dense_braid_tableaux(d, n, r, sign)], (r, sign)
+
+
+def test_braid_generator_tableaux_match_dense_oracle_d5_two_qudits():
+    # the longest generator word of the suite: the cubed inverse-S braid at dim 625
+    exact = [t.key() for t in braid_generator_tableaux(5, 2)]
+    assert exact == [t.key() for t in dense_braid_tableaux(5, 2, certificate_r(5))]
+
+
+def test_exact_restriction_rejects_leaking_word():
+    system = build_parafermions(3, 4)
+    physical = braid_tableau(system, FZCParams(3, 0), BraidWord.from_text("4"))
+    with pytest.raises(ValueError, match="leaks"):
+        logical_tableau(system, physical)
+
+
+def test_exact_restriction_rejects_pauli_leak():
+    # at d = 2, U_4 U_4 is proportional to Lambda_4: every logical image is still
+    # a logical Pauli, but the stabilizers change sign, so the code is not preserved
+    system = build_parafermions(2, 4)
+    physical = braid_tableau(system, FZCParams(2, 0), BraidWord.from_text("4 4"))
+    with pytest.raises(ValueError, match="leaks"):
+        logical_tableau(system, physical)
+    _, leakage = restrict_word(build_encoding(2, 2, r=0), BraidWord.from_text("4 4"))
+    assert leakage > 1e-3  # the dense restriction sees the leak too
+
+
+def test_braid_generator_tableaux_build_no_dense_object(monkeypatch):
+    from parabraid import braiding, clifford, encoding
+    from parabraid.systems import DenseOperator
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(DenseOperator, "__matmul__", counted("matmul", DenseOperator.__matmul__))
+    monkeypatch.setattr(PauliLabel, "to_matrix", counted("to_matrix", PauliLabel.to_matrix))
+    monkeypatch.setattr(braiding.BraidRepresentation, "__init__",
+                        counted("BraidRepresentation", braiding.BraidRepresentation.__init__))
+    for module, name in ((clifford, "clifford_membership"), (encoding, "build_encoding")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    braid_generator_tableaux(3, 1)
+    braid_generator_tableaux(4, 2, 1, -1)
+    assert calls == []
+    encoding.build_encoding(2, 1)  # the counters do see the dense path
+    assert {"BraidRepresentation", "build_encoding", "to_matrix"} <= set(calls)
+
+
+def test_code_layout_needs_whole_quadruplets():
+    assert len(code_layout(build_parafermions(3, 4))) == 2
+    with pytest.raises(ValueError, match="quadruplets"):
+        code_layout(build_parafermions(3, 3))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from parabraid.clifford import PauliLabel
 from parabraid.parafermions import (
     build_parafermions,
     check_defining_relations,
@@ -35,9 +36,9 @@ def test_labels_match_jordan_wigner_oracle(d, n_pairs):
     sys_ = build_parafermions(d, n_pairs)
     gammas = jordan_wigner_gammas(d, n_pairs)
     half = np.exp(1j * np.pi * (d + 1) / d)
-    assert len(sys_.gammas) == len(gammas) == 2 * n_pairs
-    for got, want in zip(sys_.gammas, gammas):
-        assert np.max(np.abs(got.mat - want)) < 1e-14
+    assert sys_.n_modes == len(gammas) == 2 * n_pairs
+    for j, want in enumerate(gammas, start=1):
+        assert np.max(np.abs(sys_.gamma(j).mat - want)) < 1e-14
     total = np.eye(d ** n_pairs)
     for i in range(1, 2 * n_pairs):
         want = half * (gammas[i - 1] @ gammas[i].conj().T)
@@ -49,17 +50,26 @@ def test_labels_match_jordan_wigner_oracle(d, n_pairs):
 
 def test_build_makes_no_dense_products(monkeypatch):
     calls = []
+    matrices = []
     original = DenseOperator.__matmul__
+    original_to_matrix = PauliLabel.to_matrix
 
     def counting(self, other):
         calls.append(self.dim)
         return original(self, other)
 
+    def counting_to_matrix(self):
+        matrices.append(self.n)
+        return original_to_matrix(self)
+
     monkeypatch.setattr(DenseOperator, "__matmul__", counting)
+    monkeypatch.setattr(PauliLabel, "to_matrix", counting_to_matrix)
     sys_ = build_parafermions(4, 4)
     assert calls == []
-    sys_.gamma(1) @ sys_.gamma(2)  # the counter does see dense products
+    assert matrices == []  # the dense gammas are built only when asked for
+    sys_.gamma(1) @ sys_.gamma(2)  # the counters do see dense products and matrices
     assert calls == [256]
+    assert matrices == [4, 4]
 
 
 def test_exchange_example_d3():
