@@ -205,12 +205,11 @@ def compose_braid(rep: BraidRepresentation, word: BraidWord) -> DenseOperator:
     return out
 
 
-def exchange_conjugation(system: ParafermionSystem, params: FZCParams, i: int, exp: int,
+def exchange_conjugation(lam: PauliLabel, params: FZCParams, exp: int,
                          label: PauliLabel) -> PauliLabel:
-    """U_i**exp P U_i**(-exp) for the FZC generator U_i, by the closed-form law."""
-    d, n = system.d, system.n_pairs
+    """U_i**exp P U_i**(-exp) for the FZC generator U_i, by the closed-form law; lam is Lambda_i."""
+    d, n = lam.d, lam.n
     e = exp * params.sign  # the - sign family conjugates like the inverse + family at -r
-    lam = parity_label(system, i)
     s = symplectic_product(lam.vector(), label.vector(), d, n)
     phase = PauliLabel(d, n, -e * s * (s + 2 * params.sign * params.r + d), (0,) * n, (0,) * n)
     return phase * label * lam ** (-e * s)
@@ -220,7 +219,8 @@ def braid_tableau(system: ParafermionSystem, params: FZCParams, word: BraidWord)
     """Exact conjugation tableau of a braid word's FZC unitary on the physical qudits."""
     images = CliffordTableau.identity(system.d, system.n_pairs).images
     for idx, exp in word.entries:  # entry 0 acts first, so it conjugates first
-        images = tuple(exchange_conjugation(system, params, idx, exp, img) for img in images)
+        lam = parity_label(system, idx)
+        images = tuple(exchange_conjugation(lam, params, exp, img) for img in images)
     return CliffordTableau(system.d, system.n_pairs, images)
 
 
@@ -299,7 +299,8 @@ def conjugation_action(rep: BraidRepresentation, i: int, tol: float = 1e-10) -> 
         return ConjugationResult(img1, img2)
     d = rep.fzc.d
     labels = rep.system.labels
-    target1, target2 = (exchange_conjugation(rep.system, rep.fzc, i, +1, g).to_operator()
+    lam = parity_label(rep.system, i)
+    target1, target2 = (exchange_conjugation(lam, rep.fzc, +1, g).to_operator()
                         for g in labels[i - 1:i + 1])
     residual = max(img1.max_diff(target1), img2.max_diff(target2))
     lam1 = equal_up_to_phase(img1, g2, tol)

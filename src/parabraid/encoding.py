@@ -28,7 +28,7 @@ import numpy as np
 
 from .braiding import BraidRepresentation, BraidWord, braid_tableau, canonical_word, compose_braid, \
     diagonal_phases
-from .clifford import CliffordTableau, PauliLabel, extract_pauli_monomial, symplectic_product
+from .clifford import CliffordTableau, PauliLabel, symplectic_product
 from .constraints import FZCParams
 from .parafermions import ParafermionSystem, build_parafermions, parity_eigenbasis, parity_label
 from .phases import CyclotomicPhase, phase_from_complex
@@ -237,46 +237,6 @@ def identify_gate(enc: Encoding, word: BraidWord, tol: float = IDENTIFY_TOL) -> 
     return LogicalGateID("unknown", None, None, leakage, restricted)
 
 
-@dataclass(frozen=True)
-class PauliImage:
-    """Conjugation image of one logical Pauli generator."""
-
-    source: str
-    label: PauliLabel | None
-    phase: complex | None
-    phase_exact: CyclotomicPhase | None
-    matrix: DenseOperator
-
-
-def pauli_conjugation(enc: Encoding, word: BraidWord, tol: float = IDENTIFY_TOL) -> list[PauliImage]:
-    """Images T(U) P T(U)dag of the logical Pauli generators.
-
-    Each image is decomposed as phase * X^a Z^b per logical qudit when it is
-    a Pauli monomial; a non-Pauli image is reported with label None, which
-    is the expected outcome for non-Clifford words.
-    """
-    restricted, leakage = restrict_word(enc, word)
-    if leakage > LEAKAGE_TOL:
-        raise ValueError(f"braid word leaks out of the computational subspace: {leakage:.3e}")
-    sys_ = enc.logical_system
-    names = ["X", "Z"] if enc.n_logical == 1 else ["X_A", "Z_A", "X_B", "Z_B"]
-    gens = []
-    for q in range(1, enc.n_logical + 1):
-        gens.append(pauli_x(sys_, q))
-        gens.append(pauli_z(sys_, q))
-
-    out = []
-    for name, gen in zip(names, gens):
-        image = restricted @ gen @ restricted.dag()
-        label = extract_pauli_monomial(image.mat, enc.d, enc.n_logical, tol)
-        if label is None:
-            out.append(PauliImage(name, None, None, None, image))
-        else:
-            lam = label.phase_value()
-            out.append(PauliImage(name, label, lam, phase_from_complex(lam, enc.d), image))
-    return out
-
-
 EXPECTED_ENTANGLING_TABLE = {
     1: ((1, 1),),
     2: ((2, 1), (6, -2)),
@@ -324,6 +284,13 @@ def parity_conjugation_table(system: ParafermionSystem, params: FZCParams,
     return ParityTable(phases, fixed)
 
 
+def controlled_shift_word(d: int) -> BraidWord:
+    """The odd-d controlled-shift braid: the inverse S word repeated (d + 1) / 2 times."""
+    if d % 2 == 0:
+        raise ValueError("the CX braid word is defined for odd d")
+    return canonical_word("S_dagger").power((d + 1) // 2)
+
+
 def entangling_words(d: int) -> dict[str, BraidWord]:
     """The canonical two-qudit braid words, plus the odd-d controlled shift."""
     words = {
@@ -332,7 +299,7 @@ def entangling_words(d: int) -> dict[str, BraidWord]:
         "T": canonical_word("T"),
     }
     if d % 2 == 1:
-        words["CX"] = canonical_word("S_dagger").power((d + 1) // 2)
+        words["CX"] = controlled_shift_word(d)
     return words
 
 
@@ -375,5 +342,5 @@ def braid_generator_tableaux(d: int, n_logical: int, r: int | None = None,
     words = [BraidWord.from_text("1"), canonical_word("F")]
     if n_logical == 2:
         words += [BraidWord.from_text("5"), BraidWord.from_text("5 6 5"),
-                  canonical_word("S_dagger").power((d + 1) // 2 if d % 2 == 1 else 1)]
+                  controlled_shift_word(d) if d % 2 == 1 else canonical_word("S_dagger")]
     return [logical_tableau(system, braid_tableau(system, params, word)) for word in words]

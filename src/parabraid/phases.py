@@ -51,10 +51,6 @@ class CyclotomicPhase:
         self._check_ring(other)
         return CyclotomicPhase(self.num + other.num, self.d)
 
-    def __truediv__(self, other: "CyclotomicPhase") -> "CyclotomicPhase":
-        self._check_ring(other)
-        return CyclotomicPhase(self.num - other.num, self.d)
-
     def __pow__(self, k: int) -> "CyclotomicPhase":
         return CyclotomicPhase(self.num * k, self.d)
 

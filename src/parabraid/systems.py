@@ -109,9 +109,6 @@ class DenseOperator:
 
     __rmul__ = __mul__
 
-    def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        return self._like(self.mat + other.mat)
-
     def __sub__(self, other: "DenseOperator") -> "DenseOperator":
         return self._like(self.mat - other.mat)
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from parabraid import cli, encoding
+from parabraid.braiding import BraidWord
 from parabraid.cli import main
 from parabraid.clifford import ClosureResult
 from parabraid.report import load_schema, markdown_summary, validate_schema
@@ -122,6 +123,48 @@ def test_gates_composes_the_braid_once(monkeypatch):
     assert len(calls) == 1
     assert [c.name for c in report.checks] == ["leakage", "gate_identified", "matches_expected_gate"]
     assert report.passed and payload["gate"] == "CX^1"
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_entangling_suite_runs_on_tableaux(monkeypatch, d):
+    from parabraid import braiding
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(braiding.BraidRepresentation, "__init__",
+                        counted("BraidRepresentation", braiding.BraidRepresentation.__init__))
+    for module in (cli, encoding, braiding):
+        for name in ("build_encoding", "compose_braid", "restrict_word"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    report = cli.cmd_entangling(d)
+    assert calls == []
+    names = ["leakage", "inverse_s_is_squared_controlled_shift",
+             "t_braid_is_squared_controlled_phase", "parity_table_residual",
+             "neutral_parities_fixed"]
+    if d % 2:
+        names += ["controlled_shift_leakage", "odd_d_controlled_shift"]
+    assert [c.name for c in report.checks] == names  # the parity table runs at every d
+    assert report.passed
+    cli.cmd_gates(2, 0, "F")  # the counters do see the dense path
+    assert {"build_encoding", "BraidRepresentation", "compose_braid"} <= set(calls)
+
+
+def test_entangling_suite_flags_a_leaking_word(monkeypatch):
+    # a leaking word reads leakage 1.0 and fails its gate; a wrong gate fails only the gate
+    words = encoding.entangling_words(3)
+    monkeypatch.setattr(cli, "entangling_words",
+                        lambda d: {**words, "T": BraidWord.from_text("4"), "CX": words["T"]})
+    checks = {c.name: c.value for c in cli.cmd_entangling(3).checks}
+    assert checks["leakage"] == 1.0 and checks["t_braid_is_squared_controlled_phase"] == 1.0
+    assert checks["controlled_shift_leakage"] == 0.0 and checks["odd_d_controlled_shift"] == 1.0
+    assert checks["inverse_s_is_squared_controlled_shift"] == 0.0
 
 
 def test_gates_nonzero_r(tmp_path):

@@ -1,19 +1,23 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parabraid.braiding import BraidWord, braid_tableau, canonical_word, compose_braid, diagonal_phases
-from parabraid.clifford import PauliLabel
+from parabraid.clifford import PauliLabel, clifford_membership
 from parabraid.constraints import FZCParams, dft_prefactor
 from parabraid.encoding import (
+    LEAKAGE_TOL,
     braid_generator_tableaux,
     build_encoding,
     certificate_r,
     code_layout,
+    controlled_shift_word,
     entangling_words,
     identify_gate,
     logical_tableau,
     parity_conjugation_table,
-    pauli_conjugation,
     restrict,
     restrict_word,
 )
@@ -101,32 +105,32 @@ def test_identify_gate_dictionary_entries():
     assert gate.name in {"identity"} | {f"X^{a}Z^{b}" for a in range(3) for b in range(3)}
 
 
+def exact_logical_tableau(d, n_logical, word, r=0, sign=+1):
+    """Logical tableau of an FZC braid word by the exact path alone."""
+    system = build_parafermions(d, 2 * n_logical)
+    return logical_tableau(system, braid_tableau(system, FZCParams(d, r, sign), word))
+
+
 def test_pauli_conjugation_single_braid():
     for d in (2, 3, 4, 5):
         for r in range(d):
-            enc = build_encoding(d, 1, r=r)
-            images = {im.source: im for im in pauli_conjugation(enc, BraidWord.from_text("1"))}
-            x_img = images["X"]
-            assert x_img.label is not None
-            assert x_img.label.x == (1,) and x_img.label.z == (d - 1,)
-            assert x_img.label.phase == (-(2 * r + d + 1)) % (2 * d)
-            z_img = images["Z"]
-            assert z_img.label is not None
-            assert z_img.label.x == (0,) and z_img.label.z == (1,)
-            assert z_img.label.phase == 0
+            x_img, z_img = exact_logical_tableau(d, 1, BraidWord.from_text("1"), r).images
+            assert x_img.x == (1,) and x_img.z == (d - 1,)
+            assert x_img.phase == (-(2 * r + d + 1)) % (2 * d)
+            assert z_img.x == (0,) and z_img.z == (1,)
+            assert z_img.phase == 0
 
 
 def test_pauli_conjugation_composite_braid():
     # measured action of the three-exchange composite: X -> Zdag, Z -> X
     for d in (2, 3, 4, 5):
-        enc = build_encoding(d, 1, r=0)
-        images = {im.source: im for im in pauli_conjugation(enc, canonical_word("F"))}
-        assert images["X"].label.x == (0,)
-        assert images["X"].label.z == ((d - 1) % d,)
-        assert images["X"].label.phase == 0
-        assert images["Z"].label.x == (1,)
-        assert images["Z"].label.z == (0,)
-        assert images["Z"].label.phase == 0
+        x_img, z_img = exact_logical_tableau(d, 1, canonical_word("F")).images
+        assert x_img.x == (0,)
+        assert x_img.z == ((d - 1) % d,)
+        assert x_img.phase == 0
+        assert z_img.x == (1,)
+        assert z_img.z == (0,)
+        assert z_img.phase == 0
 
 
 def test_pauli_conjugation_non_clifford_word_reports_none():
@@ -135,15 +139,21 @@ def test_pauli_conjugation_non_clifford_word_reports_none():
     from parabraid.braiding import BraidRepresentation
     from parabraid.constraints import d4_family
     from parabraid.encoding import Encoding
-    from parabraid.parafermions import build_parafermions, parity_eigenbasis
+    from parabraid.parafermions import parity_eigenbasis
     from parabraid.systems import QuditSystem
 
-    rep = BraidRepresentation(build_parafermions(4, 2), d4_family(0.9, +1))
-    bases = [parity_eigenbasis(rep.system, i) for i in (1, 3)]
-    columns = [np.kron(bases[0].vector(k), bases[1].vector((4 - k) % 4)) for k in range(4)]
-    enc = Encoding(4, 1, rep, np.column_stack(columns), QuditSystem(4, 1))
-    images = pauli_conjugation(enc, BraidWord.from_text("1"))
-    assert any(im.label is None for im in images)
+    def family_encoding(phi):
+        rep = BraidRepresentation(build_parafermions(4, 2), d4_family(phi, +1))
+        bases = [parity_eigenbasis(rep.system, i) for i in (1, 3)]
+        columns = [np.kron(bases[0].vector(k), bases[1].vector((4 - k) % 4)) for k in range(4)]
+        return Encoding(4, 1, rep, np.column_stack(columns), QuditSystem(4, 1))
+
+    restricted, leakage = restrict_word(family_encoding(0.9), BraidWord.from_text("1"))
+    assert leakage < 1e-10
+    assert clifford_membership(restricted) is None
+    # the family's FZC point is Clifford on the same dense path
+    restricted, _ = restrict_word(family_encoding(np.pi / 4), BraidWord.from_text("1"))
+    assert clifford_membership(restricted) is not None
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
@@ -294,3 +304,53 @@ def test_code_layout_needs_whole_quadruplets():
     assert len(code_layout(build_parafermions(3, 4))) == 2
     with pytest.raises(ValueError, match="quadruplets"):
         code_layout(build_parafermions(3, 3))
+
+
+def test_controlled_shift_word_needs_odd_d():
+    assert controlled_shift_word(3) == canonical_word("S_dagger").power(2)
+    with pytest.raises(ValueError, match="odd d"):
+        controlled_shift_word(4)
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_entangling_words_exact_match_dense_oracle(d):
+    enc = build_encoding(d, 2, r=0)
+    words = entangling_words(d)
+    assert sorted(words) == sorted(["S", "S_dagger", "T"] + (["CX"] if d % 2 else []))
+    for name, word in words.items():
+        restricted, leakage = restrict_word(enc, word)
+        assert leakage < LEAKAGE_TOL, name
+        assert exact_logical_tableau(d, 2, word) == clifford_membership(restricted), name
+
+
+@lru_cache(maxsize=None)
+def cached_encoding(d, n_logical, r, sign):
+    return build_encoding(d, n_logical, r=r, sign=sign)
+
+
+@st.composite
+def fzc_braid_words(draw):
+    d = draw(st.integers(2, 4))
+    n_logical = draw(st.integers(1, 2))
+    r = draw(st.integers(0, d - 1))
+    sign = draw(st.sampled_from((+1, -1)))
+    letter = st.tuples(st.integers(1, 4 * n_logical - 1), st.sampled_from((+1, -1)))
+    word = BraidWord(tuple(draw(st.lists(letter, max_size=6))))
+    return d, n_logical, r, sign, word
+
+
+@settings(max_examples=300, deadline=None)
+@given(fzc_braid_words())
+def test_random_words_exact_restriction_matches_dense(case):
+    # the exact path raises exactly on the words the dense restriction sees leak,
+    # and otherwise gives the tableau of the dense restricted matrix
+    d, n_logical, r, sign, word = case
+    enc = cached_encoding(d, n_logical, r, sign)
+    restricted, leakage = restrict_word(enc, word)
+    try:
+        exact = exact_logical_tableau(d, n_logical, word, r, sign)
+    except ValueError:
+        assert leakage > LEAKAGE_TOL
+        return
+    assert leakage <= LEAKAGE_TOL
+    assert exact == clifford_membership(restricted)
