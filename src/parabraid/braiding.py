@@ -92,6 +92,10 @@ class BraidWord:
             out = out * self
         return out
 
+    def shifted(self, k: int) -> "BraidWord":
+        """The same word on the generators k higher: letter i becomes i + k."""
+        return BraidWord(tuple((idx + k, exp) for idx, exp in self.entries))
+
     def max_index(self) -> int:
         return max((idx for idx, _ in self.entries), default=0)
 
@@ -211,6 +215,8 @@ def exchange_conjugation(lam: PauliLabel, params: FZCParams, exp: int,
     d, n = lam.d, lam.n
     e = exp * params.sign  # the - sign family conjugates like the inverse + family at -r
     s = symplectic_product(lam.vector(), label.vector(), d, n)
+    if s == 0:  # the label commutes with Lambda_i, hence with U_i
+        return label
     phase = PauliLabel(d, n, -e * s * (s + 2 * params.sign * params.r + d), (0,) * n, (0,) * n)
     return phase * label * lam ** (-e * s)
 

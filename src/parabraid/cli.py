@@ -33,8 +33,8 @@ from .parafermions import build_parafermions, check_defining_relations, check_pa
     parity, parity_eigenbasis
 from .report import Check, RunReport, count_check, flag_check
 from .solver import SolverConfig, solve_all
-from .systems import SizeBoundError, controlled_phase, controlled_shift, embed_vector, \
-    equal_up_to_phase, pauli_x, pauli_z
+from .systems import QuditSystem, SizeBoundError, controlled_phase, controlled_shift, \
+    embed_vector, equal_up_to_phase, pauli_x, pauli_z
 
 DEFAULT_SEED = 12345
 DEFAULT_RESTARTS_FOR_REPORT = 2000
@@ -45,6 +45,7 @@ NAMED_BRAIDS = {"F": "F", "S": "S", "T": "T", "Sdag": "S_dagger"}
 def cmd_algebra(d: int, pairs: int) -> RunReport:
     out = RunReport("algebra", {"d": d, "pairs": pairs})
     t0 = time.perf_counter()
+    QuditSystem(d, pairs)  # a dense suite: apply the size bound before the build
     sys_ = build_parafermions(d, pairs)
     out.add(Check("defining_relations", check_defining_relations(sys_), 1e-12))
 
@@ -344,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clifford", help="group closure of braid or reference gates")
     p.add_argument("--d", type=_positive_dimension, required=True)
-    p.add_argument("--n", type=int, choices=(1, 2), default=1)
+    p.add_argument("--n", type=int, choices=(1, 2), default=1,
+                   help="encoded qudits; at n = 3 no closure fits: 92,897,280 elements "
+                        "at d = 2 (over the 10M limit), int64 key overflow at d >= 3")
     p.add_argument("--generators", choices=("braid", "reference"), default="braid")
     p.add_argument("--limit", type=_positive_limit, default=DEFAULT_CLOSURE_LIMIT)
     p.add_argument("--json", type=str, default=None)

@@ -280,23 +280,18 @@ def reference_phase_gate(d: int) -> DenseOperator:
 
 
 def reference_generators(d: int, n: int) -> list[CliffordTableau]:
-    """Tableaux of the textbook generating set, from explicit unitaries.
+    """Tableaux of the textbook generating set on n qudits, from explicit unitaries.
 
-    n = 1: the phase gate (X -> X Zdag, Z -> Z) and the Fourier gate
-    (X -> Z, Z -> Xdag).  n = 2: both gates on each qudit plus the
-    controlled shift.  Building them from matrices keeps every tableau
-    realizable by an actual unitary.
+    The phase gate (X -> X Zdag, Z -> Z) and the Fourier gate (X -> Z,
+    Z -> Xdag) on each qudit in turn, then the controlled shift on each
+    adjacent pair (q, q+1).  Building them from matrices keeps every tableau
+    realizable by an actual unitary; the matrices have dimension d**n, so
+    the dense size bound applies.
     """
-    if n not in (1, 2):
-        raise ValueError("reference generators are provided for n = 1 and n = 2")
-    qp = reference_phase_gate(d)
-    fg = fourier_gate(d)
-    if n == 1:
-        mats = [qp, fg]
-    else:
-        system = QuditSystem(d, 2)
-        mats = [embed(system, q, gate.mat) for q in (1, 2) for gate in (qp, fg)]
-        mats.append(controlled_shift(d))
+    system = QuditSystem(d, n)
+    singles = (reference_phase_gate(d), fourier_gate(d))
+    mats = [embed(system, q, gate.mat) for q in range(1, n + 1) for gate in singles]
+    mats += [embed(system, q, controlled_shift(d).mat) for q in range(1, n)]
     out = []
     for mat in mats:
         tab = clifford_membership(mat)
@@ -354,10 +349,11 @@ def _gen_tables(tab: CliffordTableau) -> tuple[np.ndarray, np.ndarray]:
     exponent vector (x|z) has the base-d digits of idx, least significant
     first: its packed vector index and its phase.  All labels are built at
     once with the arithmetic of `apply`: powers of the generator images,
-    multiplied in the order X_1, Z_1, X_2, Z_2, ...
+    multiplied in the order X_1, Z_1, X_2, Z_2, ...  The tables hold vector
+    indices below d**(2n), not packed keys, so no key-width check applies.
     """
     d, n = tab.d, tab.n
-    vec_space, _, _ = _pack_params(d, n)
+    vec_space = d ** (2 * n)
     powers = d ** np.arange(2 * n, dtype=np.int64)
     digits = (np.arange(vec_space, dtype=np.int64)[:, None] // powers) % d
     acc_vec = np.zeros((vec_space, 2 * n), dtype=np.int64)

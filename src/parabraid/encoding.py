@@ -71,10 +71,9 @@ class Encoding:
 def build_encoding(d: int, n_logical: int, r: int = 0, sign: int = +1) -> Encoding:
     """Encode n_logical qudits, carrying the braid representation (r, sign).
 
-    n_logical = 1 uses four parafermions, n_logical = 2 uses eight.
+    Qudit q uses parafermions 4q-3..4q, so the isometry has d**(2 n_logical)
+    rows and the dense size bound applies to it.
     """
-    if n_logical not in (1, 2):
-        raise ValueError(f"n_logical must be 1 or 2, got {n_logical}")
     rep = BraidRepresentation.from_fzc(d, 2 * n_logical, r, sign)
     bases = [parity_eigenbasis(rep.system, i) for i in range(1, rep.system.n_modes, 2)]
     logical_system = QuditSystem(d, n_logical)
@@ -98,8 +97,8 @@ def code_layout(system: ParafermionSystem) -> list[tuple[PauliLabel, PauliLabel,
     """(Z_L, X_L, stabilizer) of each logical qudit, one per parafermion quadruplet."""
     if system.n_modes % 4:
         raise ValueError(f"logical qudits need whole quadruplets, got {system.n_modes} parafermions")
-    lam = {i: parity_label(system, i) for i in range(1, system.n_modes)}
-    return [(lam[i], lam[i + 1], lam[i] * lam[i + 2]) for i in range(1, system.n_modes, 4)]
+    lam = system.parities  # lam[i] is Lambda_(i+1)
+    return [(lam[i], lam[i + 1], lam[i] * lam[i + 2]) for i in range(0, system.n_modes - 1, 4)]
 
 
 def _validate_encoding(enc: Encoding) -> None:
@@ -189,6 +188,8 @@ def quadratic_phase_gate(enc: Encoding) -> DenseOperator:
 
 def gate_dictionary(enc: Encoding) -> list[tuple[str, DenseOperator]]:
     """Candidate gates, in the deterministic order used for identification."""
+    if enc.n_logical not in (1, 2):
+        raise ValueError(f"the gate dictionary covers 1 or 2 logical qudits, got {enc.n_logical}")
     d = enc.d
     sys_ = enc.logical_system
     entries: list[tuple[str, DenseOperator]] = [("identity", DenseOperator.identity(sys_))]
@@ -323,24 +324,23 @@ def braid_generator_tableaux(d: int, n_logical: int, r: int | None = None,
                              sign: int = +1) -> list[CliffordTableau]:
     """Conjugation tableaux of the braid-derived logical gate generators.
 
-    n_logical = 1: only U1 (the diagonal braid gate) and the composite
-    U1 U2 U1, i.e. the exchanges of parafermions 1-2-3.  U3, the exchange of
-    parafermions 3 and 4, is left out, so for odd d the image contains no
+    On each encoded qudit q in turn, U_(4q-3) (the diagonal braid gate) and
+    the Fourier word U_(4q-3) U_(4q-2) U_(4q-3); then, on each adjacent pair
+    (q, q+1), the entangling braid (the repeated inverse-S word for odd d, a
+    single inverse S for even d).  Every word is the qudit-1 or pair-(1, 2)
+    word shifted by 4(q-1).  U_(4q-1), the exchange of parafermions 4q-1
+    and 4q, is left out, so for odd d the n_logical = 1 image contains no
     Pauli translations: only a 24- or 120-element lift of SL(2, Z_d) at
     d = 3, 5, not the full single-qudit Clifford group.
-    n_logical = 2: both gates on each encoded qudit plus the entangling
-    braid (the repeated inverse-S word for odd d, a single inverse S for
-    even d).
 
-    Computed with no matrix: braid_tableau composes each word from the
-    closed-form exchange law and logical_tableau restricts it to the code.
+    Computed with no matrix, for any n_logical: braid_tableau composes each
+    word from the closed-form exchange law and logical_tableau restricts it
+    to the code.
     """
-    if n_logical not in (1, 2):
-        raise ValueError(f"n_logical must be 1 or 2, got {n_logical}")
     params = FZCParams(d, certificate_r(d) if r is None else r, sign)
     system = build_parafermions(d, 2 * n_logical)
-    words = [BraidWord.from_text("1"), canonical_word("F")]
-    if n_logical == 2:
-        words += [BraidWord.from_text("5"), BraidWord.from_text("5 6 5"),
-                  controlled_shift_word(d) if d % 2 == 1 else canonical_word("S_dagger")]
+    entangler = controlled_shift_word(d) if d % 2 == 1 else canonical_word("S_dagger")
+    words = [word.shifted(4 * q) for q in range(n_logical)
+             for word in (BraidWord.from_text("1"), canonical_word("F"))]
+    words += [entangler.shifted(4 * q) for q in range(n_logical - 1)]
     return [logical_tableau(system, braid_tableau(system, params, word)) for word in words]

@@ -31,16 +31,21 @@ BUILD_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ParafermionSystem:
-    """2*n_pairs parafermion operators realized on n_pairs qudits."""
+    """Parafermions gamma_1 .. gamma_{2n} and parities Lambda_1 .. Lambda_{2n-1} on n qudits."""
 
     d: int
     n_pairs: int
-    system: QuditSystem
     labels: tuple[PauliLabel, ...] = field(repr=False)
+    parities: tuple[PauliLabel, ...] = field(repr=False)
 
     @property
     def n_modes(self) -> int:
         return 2 * self.n_pairs
+
+    @property
+    def system(self) -> QuditSystem:
+        """The dense qudit space; the size bound applies here, not to the labels."""
+        return QuditSystem(self.d, self.n_pairs)
 
     def gamma(self, j: int) -> DenseOperator:
         """Dense gamma_j, 1-based."""
@@ -50,14 +55,14 @@ class ParafermionSystem:
 
 
 def build_parafermions(d: int, n_pairs: int) -> ParafermionSystem:
-    """Construct the Jordan-Wigner parafermions and check their algebra exactly.
+    """Construct the Jordan-Wigner parafermions and parities and check the algebra exactly.
 
-    Raises ValueError if some gamma_j**d is not the identity or some pair
-    j < k fails gamma_j gamma_k = omega gamma_k gamma_j.
+    Builds no matrix, so no size bound applies.  Raises ValueError if some
+    gamma_j**d is not the identity or some pair j < k fails
+    gamma_j gamma_k = omega gamma_k gamma_j.
     """
-    if n_pairs < 1:
-        raise ValueError(f"need at least one parafermion pair, got {n_pairs}")
-    system = QuditSystem(d, n_pairs)
+    if d < 2 or n_pairs < 1:
+        raise ValueError(f"need d >= 2 and at least one parafermion pair, got {d}, {n_pairs}")
     labels = []
     for i in range(n_pairs):
         z = tuple(int(q == i) for q in range(n_pairs))
@@ -68,7 +73,9 @@ def build_parafermions(d: int, n_pairs: int) -> ParafermionSystem:
         if g ** d != identity or any(symplectic_product(g.vector(), h.vector(), d, n_pairs) != 1
                                      for h in labels[j + 1:]):
             raise ValueError(f"parafermion algebra violated at gamma_{j + 1}")
-    return ParafermionSystem(d, n_pairs, system, tuple(labels))
+    pref = PauliLabel(d, n_pairs, d + 1, (0,) * n_pairs, (0,) * n_pairs)
+    parities = tuple(pref * g * h.inverse() for g, h in zip(labels, labels[1:]))
+    return ParafermionSystem(d, n_pairs, tuple(labels), parities)
 
 
 def check_defining_relations(sys_: ParafermionSystem) -> float:
@@ -94,9 +101,7 @@ def parity_label(sys_: ParafermionSystem, i: int) -> PauliLabel:
     """Pair parity Lambda_i = omega**((d+1)/2) gamma_i gamma_{i+1}^dag, exactly."""
     if not 1 <= i <= sys_.n_modes - 1:
         raise IndexError(f"parity index {i} out of range 1..{sys_.n_modes - 1}")
-    d, n = sys_.d, sys_.n_pairs
-    pref = PauliLabel(d, n, d + 1, (0,) * n, (0,) * n)
-    return pref * sys_.labels[i - 1] * sys_.labels[i].inverse()
+    return sys_.parities[i - 1]
 
 
 def parity(sys_: ParafermionSystem, i: int) -> DenseOperator:

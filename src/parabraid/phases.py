@@ -38,33 +38,8 @@ class CyclotomicPhase:
         """omega**power with omega = exp(2*pi*i/d)."""
         return cls(8 * power, d)
 
-    @classmethod
-    def omega_half(cls, d: int, power: int = 1) -> "CyclotomicPhase":
-        """omega**(power/2) on the fixed branch omega**(1/2) = exp(pi*i/d)."""
-        return cls(4 * power, d)
-
-    def _check_ring(self, other: "CyclotomicPhase") -> None:
-        if self.d != other.d:
-            raise ValueError(f"phase ring mismatch: d={self.d} vs d={other.d}")
-
-    def __mul__(self, other: "CyclotomicPhase") -> "CyclotomicPhase":
-        self._check_ring(other)
-        return CyclotomicPhase(self.num + other.num, self.d)
-
-    def __pow__(self, k: int) -> "CyclotomicPhase":
-        return CyclotomicPhase(self.num * k, self.d)
-
-    def conjugate(self) -> "CyclotomicPhase":
-        return CyclotomicPhase(-self.num, self.d)
-
-    def inverse(self) -> "CyclotomicPhase":
-        return self.conjugate()
-
     def as_complex(self) -> complex:
         return cmath.exp(2j * math.pi * self.num / self.modulus)
-
-    def is_one(self) -> bool:
-        return self.num == 0
 
     def __repr__(self) -> str:
         return f"CyclotomicPhase({self.num}/{self.modulus} of 2*pi, d={self.d})"

@@ -145,11 +145,19 @@ def kron_all(mats) -> np.ndarray:
 
 
 def embed(system: QuditSystem, i: int, local: np.ndarray) -> DenseOperator:
-    """Place a single-qudit matrix on qudit i (1-based), identity elsewhere."""
-    if not 1 <= i <= system.n:
-        raise IndexError(f"qudit index {i} out of range 1..{system.n}")
+    """Place a d**k x d**k block on qudits i..i+k-1 (1-based), identity elsewhere.
+
+    A block whose size is not a power of d raises ValueError.
+    """
+    k = 1
+    while system.d ** k < local.shape[0]:
+        k += 1
+    if system.d ** k != local.shape[0]:
+        raise ValueError(f"block size {local.shape[0]} is not a power of d = {system.d}")
+    if not 1 <= i <= system.n - k + 1:
+        raise IndexError(f"a {k}-qudit block at qudit {i} does not fit in 1..{system.n}")
     left = np.eye(system.d ** (i - 1))
-    right = np.eye(system.d ** (system.n - i))
+    right = np.eye(system.d ** (system.n - i - k + 1))
     return DenseOperator(kron_all([left, local, right]), system.d, system.n)
 
 

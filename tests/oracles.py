@@ -72,33 +72,32 @@ def jordan_wigner_gammas(d: int, n_pairs: int) -> list[np.ndarray]:
     return gammas
 
 
+# The generator words of up to three encoded qudits in operator-order text,
+# each spelled out in full: the oracle does no word arithmetic of its own
+# beyond the odd-d power of the inverse-S braid.
+QUDIT_WORD_TEXTS = (("1", "1 2 1"), ("5", "5 6 5"), ("9", "9 10 9"))
+PAIR_WORD_TEXTS = ("4 3 | -5 -6 -4 -5 | -5 -6 -4 -5 | -3 -4",
+                   "8 7 | -9 -10 -8 -9 | -9 -10 -8 -9 | -7 -8")
+
+
 def dense_braid_tableaux(d: int, n_logical: int, r: int | None = None, sign: int = +1) -> list:
-    """braid_generator_tableaux through dense matrices.
+    """braid_generator_tableaux through dense matrices, for n_logical <= 3.
 
     Builds the encoding isometry and the braid representation, restricts
     each generator word's unitary to the code, and reads its tableau off the
     matrix with clifford_membership.
     """
-    from parabraid.braiding import BraidWord, canonical_word
+    from parabraid.braiding import BraidWord
     from parabraid.clifford import clifford_membership
     from parabraid.encoding import LEAKAGE_TOL, build_encoding, certificate_r, restrict_word
 
     if r is None:
         r = certificate_r(d)
     enc = build_encoding(d, n_logical, r=r, sign=sign)
-    if n_logical == 1:
-        words = [BraidWord.from_text("1"), canonical_word("F")]
-    else:
-        words = [
-            BraidWord.from_text("1"),
-            canonical_word("F"),
-            BraidWord.from_text("5"),
-            BraidWord.from_text("5 6 5"),
-        ]
-        if d % 2 == 1:
-            words.append(canonical_word("S_dagger").power((d + 1) // 2))
-        else:
-            words.append(canonical_word("S_dagger"))
+    words = [BraidWord.from_text(text) for texts in QUDIT_WORD_TEXTS[:n_logical] for text in texts]
+    for text in PAIR_WORD_TEXTS[:n_logical - 1]:
+        word = BraidWord.from_text(text)
+        words.append(word.power((d + 1) // 2) if d % 2 == 1 else word)
     out = []
     for word in words:
         restricted, leakage = restrict_word(enc, word)

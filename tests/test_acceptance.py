@@ -122,7 +122,7 @@ def test_criterion_04_dft_relation_exact():
                 failures.append(f"d={d} r={r}: prefactor {dp.prefactor}")
             for k in range(d):
                 measured = phase_from_complex(dp.phases[k], d)
-                exact = fzc_phase(params, k).conjugate() * dft_prefactor(params)
+                exact = CyclotomicPhase(dft_prefactor(params).num - fzc_phase(params, k).num, d)
                 if measured is None or measured != exact:
                     failures.append(f"d={d} r={r} k={k}: phase {measured} != {exact}")
     _finish(failures, "criterion 4")

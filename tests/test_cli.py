@@ -37,6 +37,15 @@ def test_size_bound_usage_error():
     assert err.value.code == 2
 
 
+def test_algebra_applies_the_size_bound_before_the_build(monkeypatch):
+    # the label build is quadratic in the pair count, so the dense suite
+    # rejects an oversized register before building anything
+    monkeypatch.setattr(cli, "build_parafermions", lambda d, pairs: pytest.fail("built"))
+    with pytest.raises(SystemExit) as err:
+        run_cli(["algebra", "--d", "2", "--pairs", "100000"])
+    assert err.value.code == 2
+
+
 def test_clifford_key_overflow_is_usage_error(monkeypatch, capsys):
     # d = 8 at n = 2 would wrap the int64 closure keys; refuse before building
     # the 4096-dimensional encoding
@@ -165,6 +174,12 @@ def test_entangling_suite_flags_a_leaking_word(monkeypatch):
     assert checks["leakage"] == 1.0 and checks["t_braid_is_squared_controlled_phase"] == 1.0
     assert checks["controlled_shift_leakage"] == 0.0 and checks["odd_d_controlled_shift"] == 1.0
     assert checks["inverse_s_is_squared_controlled_shift"] == 0.0
+
+
+def test_entangling_suite_past_the_dense_bound():
+    # eight parafermions at d = 9 span 9**4 = 6561 > 4096 states, but the
+    # suite's largest matrix is the 81 x 81 controlled shift
+    assert cli.cmd_entangling(9).passed
 
 
 def test_gates_nonzero_r(tmp_path):

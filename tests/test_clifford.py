@@ -256,6 +256,31 @@ def test_gen_tables_match_apply(d, n):
             assert phase_add[idx] == image.phase
 
 
+def test_reference_generator_keys_pinned():
+    # keys of the n = 1, 2 reference sets, in order: closure_d3n2 picks by index
+    keys = [((d, n), [t.key() for t in reference_generators(d, n)])
+            for d, n in [(d, 1) for d in range(2, 10)] + [(d, 2) for d in range(2, 8)]]
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == (
+        "92ff69c78a85f50331b09368843bf5fa8fd3de4933171d3a658c316021316003")
+
+
+def test_gen_tables_need_no_packed_keys():
+    # three qutrits: tables of 3**6 entries build, while packed keys overflow int64
+    gens = braid_generator_tableaux(3, 3)
+    for tab in gens[:1] + gens[-1:]:
+        vec_map, phase_add = _gen_tables(tab)
+        assert vec_map.size == phase_add.size == 3 ** 6
+        for idx in (1, 100, 728):
+            vec = [(idx // 3 ** i) % 3 for i in range(6)]
+            image = tab.apply(PauliLabel(3, 3, 0, tuple(vec[:3]), tuple(vec[3:])))
+            assert vec_map[idx] == sum(v * 3 ** i for i, v in enumerate(image.vector()))
+            assert phase_add[idx] == image.phase
+    with pytest.raises(ValueError, match="overflow int64 at d = 3, n = 3"):
+        closure(gens)
+    with pytest.raises(ValueError, match="overflow int64 at d = 3, n = 3"):
+        tableau_key(gens[0])
+
+
 def test_sp4_z3_closure_keys_pinned():
     # the closure_d3n2 benchmark group: both Fourier gates and the controlled
     # shift at d = 3, i.e. Sp(4, Z_3) without the Pauli translations

@@ -1,3 +1,4 @@
+import hashlib
 from functools import lru_cache
 
 import numpy as np
@@ -255,6 +256,27 @@ def test_braid_generator_tableaux_match_dense_oracle_d5_two_qudits():
     # the longest generator word of the suite: the cubed inverse-S braid at dim 625
     exact = [t.key() for t in braid_generator_tableaux(5, 2)]
     assert exact == [t.key() for t in dense_braid_tableaux(5, 2, certificate_r(5))]
+
+
+def test_braid_generator_tableaux_match_dense_oracle_three_qudits():
+    # twelve parafermions: dim 64 at d = 2, dim 729 at d = 3
+    for r in range(2):
+        for sign in (+1, -1):
+            exact = [t.key() for t in braid_generator_tableaux(2, 3, r, sign)]
+            assert exact == [t.key() for t in dense_braid_tableaux(2, 3, r, sign)], (r, sign)
+    exact = [t.key() for t in braid_generator_tableaux(3, 3)]
+    assert len(exact) == 8  # P and F words on three qudits, two entangling words
+    assert exact == [t.key() for t in dense_braid_tableaux(3, 3, certificate_r(3))]
+
+
+def test_braid_generator_keys_pinned():
+    # keys of the n = 1, 2 generator sets, in order, as computed by the
+    # hard-coded n = 1, 2 word lists the quadruplet loop replaced
+    keys = [((d, n, r, sign), [t.key() for t in braid_generator_tableaux(d, n, r, sign)])
+            for d, n in [(d, 1) for d in range(2, 8)] + [(d, 2) for d in range(2, 6)]
+            for r in range(d) for sign in (+1, -1)]
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == (
+        "fa62ea30ba8166895041d96b87b63ac6e8a3426e067050296f4d2e1513e9409b")
 
 
 def test_exact_restriction_rejects_leaking_word():

@@ -167,5 +167,6 @@ def test_index_and_bound_errors():
         sys_.gamma(5)
     with pytest.raises(IndexError):
         parity(sys_, 4)
+    big = build_parafermions(5, 7)  # labels only: the bound applies where matrices are built
     with pytest.raises(SizeBoundError):
-        build_parafermions(5, 7)
+        big.gamma(1)

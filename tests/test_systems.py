@@ -8,6 +8,7 @@ from parabraid.systems import (
     SizeBoundError,
     controlled_phase,
     controlled_shift,
+    embed,
     equal_up_to_phase,
     fourier_gate,
     pauli_x,
@@ -69,6 +70,20 @@ def test_size_bound(monkeypatch):
         QuditSystem(2, 13)
     monkeypatch.setenv("PARABRAID_SIZE_BOUND", "10000")
     QuditSystem(2, 13)
+
+
+def test_embed_places_blocks_on_consecutive_qudits():
+    d = 3
+    s = QuditSystem(d, 4)
+    cx = controlled_shift(d).mat
+    for i in (1, 2, 3):
+        want = np.kron(np.kron(np.eye(d ** (i - 1)), cx), np.eye(d ** (3 - i)))
+        assert np.array_equal(embed(s, i, cx).mat, want)
+    with pytest.raises(IndexError):
+        embed(s, 4, cx)  # the pair (4, 5) runs past qudit 4
+    for size in (2, 6, 10):
+        with pytest.raises(ValueError, match="not a power of d"):
+            embed(s, 1, np.eye(size))
 
 
 def test_controlled_gates():
