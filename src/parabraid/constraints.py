@@ -109,13 +109,10 @@ def gauge_fix(vec: CoefficientVector) -> tuple[CoefficientVector, int]:
 def unitarity_residual(vec: CoefficientVector) -> float:
     """Max over r of |sum_m c_m conj(c_{m+r}) - d*delta_{r,0}|."""
     d, c = vec.d, vec.c
-    worst = 0.0
-    for r in range(d):
-        total = sum(c[m] * np.conj(c[(m + r) % d]) for m in range(d))
-        if r == 0:
-            total -= d
-        worst = max(worst, abs(total))
-    return worst
+    idx = np.arange(d)
+    overlap = np.conj(c[(idx[:, None] + idx[None, :]) % d]) @ c  # [r]: sum_m c_m conj(c_{m+r})
+    overlap[0] -= d
+    return float(np.max(np.abs(overlap)))
 
 
 def _omega_table(d: int) -> np.ndarray:
@@ -123,16 +120,16 @@ def _omega_table(d: int) -> np.ndarray:
 
 
 def yang_baxter_residual(vec: CoefficientVector) -> float:
-    """Max over (k, m) of the two-sided cubic constraint mismatch."""
+    """Max over (k, m) of the two-sided cubic constraint mismatch.
+
+    With S[k, m] = sum_r c_r c_{k-r} omega**(m r), the left side of
+    equation (k, m) is L[k, m] = S[k, m] c_m and the right side is L[m, k].
+    """
     d, c = vec.d, vec.c
-    om = _omega_table(d)
-    worst = 0.0
-    for k in range(d):
-        for m in range(d):
-            lhs = sum(c[r] * c[(k - r) % d] * c[m] * om[(m * r) % d] for r in range(d))
-            rhs = sum(c[r] * c[k] * c[(m - r) % d] * om[(k * r) % d] for r in range(d))
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    idx = np.arange(d)
+    conv = c[None, :] * c[(idx[:, None] - idx[None, :]) % d]  # [k, r]: c_r c_{k-r}
+    lhs = (conv @ _omega_table(d)[np.outer(idx, idx) % d].T) * c  # [k, m]: S[k, m] c_m
+    return float(np.max(np.abs(lhs - lhs.T)))
 
 
 @dataclass(frozen=True)

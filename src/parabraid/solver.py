@@ -12,7 +12,15 @@ f(u) = b + A2 (u x u) + A3 (u x u x u) and its Jacobian
 J(u) = B2 u + B3 (u x u).  The coefficient tensors, packed over the distinct
 monomials of u, are derived from the complex constraint definitions once
 per d, on first use (see _tables); each evaluation is then one gather of
-monomials and one matrix product.  scipy runs the per-restart descent.
+monomials and one matrix product.
+
+Each restart is one Levenberg-Marquardt descent, MINPACK's lmder (More
+1978) called through scipy.optimize.leastsq; see least_squares.  Its
+`status` is lmder's exit code mapped to the numbering of
+scipy.optimize.least_squares: 0 the evaluation budget ran out, 1 the
+gradient test held, 2 the residual test, 3 the step test, 4 both of the
+last two, -1 improper input.  scipy is imported on the first descent, so
+the rest of the package loads without it.
 
 Converged points are re-checked through the plain residual definitions in
 `constraints` (a separate code path from the solver objective), gauge
@@ -39,7 +47,6 @@ from itertools import combinations_with_replacement, permutations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constraints import (
     CoefficientVector,
@@ -182,6 +189,33 @@ def combined_residual(vec: CoefficientVector) -> float:
     return max(unitarity_residual(vec), yang_baxter_residual(vec))
 
 
+class LeastSquaresFit(NamedTuple):
+    x: np.ndarray
+    nfev: int
+    status: int
+
+
+# lmder's exit code -> status as numbered by scipy.optimize.least_squares;
+# codes 6-8 (a tolerance below machine precision) have no status
+_LMDER_STATUS = {0: -1, 1: 2, 2: 3, 3: 4, 4: 1, 5: 0}
+
+
+def least_squares(fun, x0: np.ndarray, jac, args: tuple = (),
+                  max_nfev: int = MAX_ITERATIONS) -> LeastSquaresFit:
+    """One MINPACK lmder descent on the residual `fun` with Jacobian `jac`.
+
+    The tolerances are fixed at 1e-15, so a descent normally stops on the
+    step or residual test; status is explained in the module docstring.
+    """
+    from scipy.optimize import leastsq
+
+    x, _, info, message, code = leastsq(fun, x0, args, Dfun=jac, full_output=True,
+                                        ftol=1e-15, xtol=1e-15, gtol=1e-15, maxfev=max_nfev)
+    if code not in _LMDER_STATUS:
+        raise RuntimeError(f"lmder exit code {code}: {message}")
+    return LeastSquaresFit(x, int(info["nfev"]), _LMDER_STATUS[code])
+
+
 PROBE_STEP = 1e-3
 ANCHOR_WEIGHT = 1e-8
 
@@ -204,8 +238,7 @@ def _anchored_project(target: np.ndarray, d: int, tol: float) -> np.ndarray | No
     def jac(y: np.ndarray) -> np.ndarray:
         return np.vstack([residual_jacobian(y, d), anchor])
 
-    fit = least_squares(fun, target, jac=jac, method="lm",
-                        max_nfev=200, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    fit = least_squares(fun, target, jac, max_nfev=200)
     vec = CoefficientVector(d, _join(fit.x))
     if combined_residual(vec) > tol:
         return None
@@ -293,7 +326,7 @@ class SolverResult:
     converged: int = 0
     discarded: int = 0
     nfev: int = 0  # residual evaluations over all restarts
-    lm_status: dict[int, int] = field(default_factory=dict)  # MINPACK exit status -> restarts
+    lm_status: dict[int, int] = field(default_factory=dict)  # descent status -> restarts
 
     @property
     def nontrivial_clusters(self) -> list[SolutionCluster]:
@@ -327,12 +360,9 @@ def solve_all(config: SolverConfig) -> SolverResult:
     result = SolverResult(d, config.seed, config.restarts)
     accepted: list[CoefficientVector] = []
     for start in _random_starts(config):
-        fit = least_squares(
-            residual_stack, _split(start), jac=residual_jacobian, args=(d,),
-            method="lm", max_nfev=MAX_ITERATIONS, xtol=1e-15, ftol=1e-15, gtol=1e-15,
-        )
-        result.nfev += int(fit.nfev)
-        result.lm_status[int(fit.status)] = result.lm_status.get(int(fit.status), 0) + 1
+        fit = least_squares(residual_stack, _split(start), residual_jacobian, (d,))
+        result.nfev += fit.nfev
+        result.lm_status[fit.status] = result.lm_status.get(fit.status, 0) + 1
         vec = CoefficientVector(d, _join(fit.x))
         if combined_residual(vec) <= config.tol:
             fixed, _ = gauge_fix(vec)

@@ -6,8 +6,8 @@ phase normalization, the Jordan-Wigner parafermions as dense string
 products, braid generator tableaux read off dense restricted unitaries,
 determinant counting over Z_d, a transvection sweep
 for the four-dimensional symplectic group over Z_3, tableau group closure
-one composition at a time, and the solver residual and Jacobian entry
-by entry.
+one composition at a time, the two constraint residuals and the solver
+residual and Jacobian entry by entry.
 """
 
 from __future__ import annotations
@@ -206,6 +206,31 @@ def eigenspace_scalars(op: np.ndarray, commuting: np.ndarray, d: int) -> np.ndar
             raise AssertionError("operator is not scalar on the eigenspace")
         scalars[k] = scalar
     return scalars
+
+
+def unitarity_residual_loops(vec) -> float:
+    """Max over r of |sum_m c_m conj(c_{m+r}) - d*delta_{r,0}|, one term at a time."""
+    d, c = vec.d, vec.c
+    worst = 0.0
+    for r in range(d):
+        total = sum(c[m] * np.conj(c[(m + r) % d]) for m in range(d))
+        if r == 0:
+            total -= d
+        worst = max(worst, abs(total))
+    return worst
+
+
+def yang_baxter_residual_loops(vec) -> float:
+    """Max over (k, m) of the two-sided cubic constraint mismatch, one term at a time."""
+    d, c = vec.d, vec.c
+    om = np.exp(2j * np.pi * np.arange(d) / d)
+    worst = 0.0
+    for k in range(d):
+        for m in range(d):
+            lhs = sum(c[r] * c[(k - r) % d] * c[m] * om[(m * r) % d] for r in range(d))
+            rhs = sum(c[r] * c[k] * c[(m - r) % d] * om[(k * r) % d] for r in range(d))
+            worst = max(worst, abs(lhs - rhs))
+    return worst
 
 
 def residual_stack_loops(u: np.ndarray, d: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import unitarity_residual_loops, yang_baxter_residual_loops
 from parabraid.constraints import (
     CoefficientVector,
     FZCParams,
@@ -33,6 +34,23 @@ def test_unitarity_examples():
 def test_yang_baxter_examples():
     assert yang_baxter_residual(trivial_vector(4)) == 0.0
     assert yang_baxter_residual(CoefficientVector(3, [1, 1, OMEGA3])) < 1e-14
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_residuals_match_loop_definitions(d):
+    # the array residuals against the definitions summed term by term, at
+    # random vectors, every FZC point and (d = 3) every solution-table row
+    rng = np.random.default_rng(100 + d)
+    vectors = [CoefficientVector(d, rng.normal(size=d) + 1j * rng.normal(size=d))
+               for _ in range(20)]
+    vectors += [fzc_coefficients(params) for params in all_fzc_params(d)]
+    if d == 3:
+        vectors += d3_solution_table()
+    for vec in vectors:
+        for fast, loops in ((unitarity_residual, unitarity_residual_loops),
+                            (yang_baxter_residual, yang_baxter_residual_loops)):
+            expected = loops(vec)
+            assert abs(fast(vec) - expected) <= 1e-12 * max(1.0, expected)
 
 
 def test_fzc_small_cases():

@@ -19,7 +19,11 @@ from parabraid.constraints import (
     yang_baxter_residual,
 )
 from parabraid.solver import (
+    MAX_ITERATIONS,
     SolverConfig,
+    _random_starts,
+    _split,
+    least_squares,
     manifold_dimension,
     residual_jacobian,
     residual_stack,
@@ -77,6 +81,33 @@ def test_jacobian_against_finite_differences(d):
     # points and at known solutions; only the summation order differs
     for u in _oracle_points(d, rng):
         assert np.max(np.abs(residual_jacobian(u, d) - residual_jacobian_loops(u, d))) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_least_squares_matches_scipy_lm(d):
+    # the same lmder descent as scipy's least_squares(method="lm"), bit for
+    # bit; at d = 4 lmder's iterates depend on heap layout, so not there
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    for start in _random_starts(SolverConfig(d, 40, seed=3)):
+        u = _split(start)
+        fit = least_squares(residual_stack, u, residual_jacobian, (d,))
+        ref = scipy_least_squares(residual_stack, u, jac=residual_jacobian, args=(d,),
+                                  method="lm", max_nfev=MAX_ITERATIONS,
+                                  xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert np.array_equal(fit.x, ref.x)
+        assert (fit.nfev, fit.status) == (ref.nfev, ref.status)
+
+
+def test_least_squares_raises_on_lmder_codes_without_a_status(monkeypatch):
+    # lmder's codes 6-8 (a tolerance below machine precision) must not be
+    # counted under another status
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "leastsq",
+                        lambda *args, **kwargs: (np.zeros(4), None, {"nfev": 3}, "xtol too small", 7))
+    with pytest.raises(RuntimeError, match="exit code 7"):
+        least_squares(residual_stack, np.zeros(4), residual_jacobian, (2,))
 
 
 def test_manifold_dimension_known_points():
@@ -191,6 +222,22 @@ def test_solver_report_interface():
     for cluster in payload["clusters"]:
         assert set(cluster) == {"c", "count", "manifold_dim", "trivial"}
         assert set(cluster["c"]) == {"d", "re", "im"}
+
+
+def test_scipy_imported_on_first_solve():
+    # only the solver needs scipy, so loading the package and the command
+    # line does not pay for scipy.optimize
+    script = (
+        "import sys, parabraid, parabraid.cli\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported at load'\n"
+        "from parabraid.solver import SolverConfig, solve_all\n"
+        "solve_all(SolverConfig(2, restarts=2, seed=1))\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_solver_tables_lazy_and_read_only():
