@@ -262,12 +262,12 @@ def check_representation(rep: BraidRepresentation) -> RepresentationReport:
                 far = max(far, float(np.max(np.abs(ua @ ub - ub @ ua))))
             else:
                 yb = max(yb, float(np.max(np.abs(ua @ ub @ ua - ub @ ua @ ub))))
+    gammas = [rep.system.gamma(j) for j in range(1, rep.system.n_modes + 1)]
     locality = 0.0
     for i, u in enumerate(gens, start=1):
-        for j in range(1, rep.system.n_modes + 1):
-            if j in (i, i + 1):
-                continue
-            locality = max(locality, u.commutator_norm(rep.system.gamma(j)))
+        for j, gamma in enumerate(gammas, start=1):
+            if j not in (i, i + 1):
+                locality = max(locality, u.commutator_norm(gamma))
     total = overall_parity(rep.system)
     par = max(u.commutator_norm(total) for u in gens)
     return RepresentationReport(unit, far, yb, locality, par)

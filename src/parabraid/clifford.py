@@ -95,14 +95,11 @@ class PauliLabel:
             tuple(-v for v in self.z),
         )
 
-    def phase_value(self) -> complex:
-        return complex(np.exp(1j * np.pi * self.phase / self.d))
-
     def vector(self) -> tuple[int, ...]:
         return self.x + self.z
 
     def to_matrix(self) -> np.ndarray:
-        return self.phase_value() * pauli_monomial(QuditSystem(self.d, self.n), self.x, self.z).mat
+        return pauli_monomial(QuditSystem(self.d, self.n), self.x, self.z, self.phase).mat
 
     def to_operator(self) -> DenseOperator:
         return DenseOperator(self.to_matrix(), self.d, self.n)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .clifford import PauliLabel, symplectic_product
 from .phases import CyclotomicPhase
-from .systems import DenseOperator, QuditSystem, fourier_gate, local_pauli
+from .systems import DenseOperator, QuditSystem, fourier_gate, pauli_monomial, pauli_z
 
 BUILD_TOL = 1e-12
 
@@ -185,8 +185,8 @@ def parity_eigenbasis(sys_: ParafermionSystem, i: int) -> ParityEigenbasis:
     vectors = fourier_gate(d).mat.copy()
     # Local sanity check: X^dag on the qudit acts diagonally on these columns,
     # with the eigenvalues omega**m of Z.
-    xdag = local_pauli(d, -1, 0)
-    defect = float(np.max(np.abs(xdag @ vectors - vectors @ local_pauli(d, 0, 1))))
+    xdag = pauli_monomial(QuditSystem(d, 1), (-1,), (0,)).mat
+    defect = float(np.max(np.abs(xdag @ vectors - vectors @ pauli_z(QuditSystem(d, 1), 1).mat)))
     if defect > BUILD_TOL:
         raise AssertionError(f"eigenbasis construction defect {defect:.3e}")
     return ParityEigenbasis(d, qudit=(i + 1) // 2, vectors=vectors)

@@ -25,9 +25,9 @@ class SizeBoundError(ValueError):
 
 def size_bound() -> int:
     """Current d**n cap; override with the PARABRAID_SIZE_BOUND env var."""
-    raw = os.environ.get(SIZE_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_SIZE_BOUND
+    raw = os.environ.get(SIZE_BOUND_ENV, str(DEFAULT_SIZE_BOUND))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{SIZE_BOUND_ENV} must be a positive integer, got {raw!r}")
     return int(raw)
 
 
@@ -169,28 +169,41 @@ def embed_vector(system: QuditSystem, i: int, local: np.ndarray) -> np.ndarray:
     return kron_all([local if q == i else ground for q in range(1, system.n + 1)])
 
 
-def local_pauli(d: int, a: int, b: int) -> np.ndarray:
-    """Single-qudit X**a Z**b: |k> -> omega**(b*k) |k+a mod d>."""
-    k = np.arange(d)
-    out = np.zeros((d, d), dtype=complex)
-    out[(k + a) % d, k] = np.exp(2j * np.pi * (b * k % d) / d)
-    return out
+def _unit(system: QuditSystem, i: int) -> tuple[int, ...]:
+    if not 1 <= i <= system.n:
+        raise IndexError(f"qudit index {i} out of range 1..{system.n}")
+    return tuple(int(q == i) for q in range(1, system.n + 1))
 
 
 def pauli_x(system: QuditSystem, i: int) -> DenseOperator:
     """Cyclic shift X|k> = |k+1 mod d> on qudit i."""
-    return embed(system, i, local_pauli(system.d, 1, 0))
+    return pauli_monomial(system, _unit(system, i), (0,) * system.n)
 
 
 def pauli_z(system: QuditSystem, i: int) -> DenseOperator:
     """Phase operator Z|k> = omega**k |k> on qudit i."""
-    return embed(system, i, local_pauli(system.d, 0, 1))
+    return pauli_monomial(system, (0,) * system.n, _unit(system, i))
 
 
-def pauli_monomial(system: QuditSystem, x_exps, z_exps) -> DenseOperator:
-    """prod_i X_i**x_i Z_i**z_i, one factor per qudit."""
-    locals_ = [local_pauli(system.d, a, b) for a, b in zip(x_exps, z_exps)]
-    return DenseOperator(kron_all(locals_), system.d, system.n)
+def pauli_monomial(system: QuditSystem, x_exps, z_exps, phase: int = 0) -> DenseOperator:
+    """exp(i*pi*phase/d) prod_i X_i**x_i Z_i**z_i, built as the phased permutation it is.
+
+    Column k goes to the row with digits k_i + x_i mod d, with the 2d-th
+    root of unity of exponent phase + 2 sum_i z_i k_i mod 2d.
+    """
+    d, n, dim = system.d, system.n, system.dim
+    if len(x_exps) != n or len(z_exps) != n:
+        raise ValueError(f"exponent vectors need length n = {n}, got {len(x_exps)} and {len(z_exps)}")
+    cols = np.arange(dim)
+    rows, exps, place = np.zeros_like(cols), np.full_like(cols, phase), dim
+    for a, b in zip(x_exps, z_exps):
+        place //= d
+        digit = cols // place % d
+        rows += (digit + a) % d * place
+        exps += 2 * b * digit
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[rows, cols] = np.exp(1j * np.pi * np.arange(2 * d) / d)[exps % (2 * d)]
+    return DenseOperator(mat, d, n)
 
 
 def fourier_gate(d: int) -> DenseOperator:

@@ -2,9 +2,10 @@
 
 Everything here sticks to brute force or a code path disjoint from the
 package internals it checks: matrix-level group enumeration with canonical
-phase normalization, the Jordan-Wigner parafermions as dense string
-products, braid generator tableaux read off dense restricted unitaries,
-determinant counting over Z_d, a transvection sweep
+phase normalization, Pauli monomials as Kronecker products of local
+factors, the Jordan-Wigner parafermions as dense string products, braid
+generator tableaux read off dense restricted unitaries, determinant
+counting over Z_d, a transvection sweep
 for the four-dimensional symplectic group over Z_3, tableau group closure
 one composition at a time, the two constraint residuals and the solver
 residual and Jacobian entry by entry.
@@ -45,6 +46,21 @@ def matrix_group_order(generators: list[np.ndarray], limit: int = 2_000_000) -> 
                         raise RuntimeError("matrix group enumeration exceeded the limit")
         frontier = fresh
     return len(seen)
+
+
+def pauli_monomial_kron(d: int, x_exps, z_exps, phase: int = 0) -> np.ndarray:
+    """exp(i pi phase / d) prod_i X_i**x_i Z_i**z_i as a Kronecker product of local factors.
+
+    The local factor is X**a Z**b: |k> -> omega**(b*k) |k+a mod d>.
+    """
+    def local_pauli(a: int, b: int) -> np.ndarray:
+        k = np.arange(d)
+        out = np.zeros((d, d), dtype=complex)
+        out[(k + a) % d, k] = np.exp(2j * np.pi * (b * k % d) / d)
+        return out
+
+    locals_ = [local_pauli(a, b) for a, b in zip(x_exps, z_exps)]
+    return complex(np.exp(1j * np.pi * phase / d)) * reduce(np.kron, locals_)
 
 
 def jordan_wigner_gammas(d: int, n_pairs: int) -> list[np.ndarray]:

@@ -13,7 +13,7 @@ from parabraid.braiding import (
     conjugation_action,
     diagonal_phases,
 )
-from parabraid.clifford import clifford_membership
+from parabraid.clifford import PauliLabel, clifford_membership
 from parabraid.constraints import CoefficientVector, FZCParams, d4_family, fzc_coefficients, \
     trivial_vector
 from parabraid.parafermions import build_parafermions, parity
@@ -81,6 +81,23 @@ def test_representation_relations_trivial_and_family():
     assert check_representation(rep).max_residual < 1e-12
     rep = BraidRepresentation(build_parafermions(4, 2), d4_family(np.pi / 3, +1))
     assert check_representation(rep).max_residual < 1e-10
+
+
+def test_check_representation_builds_each_gamma_once(monkeypatch):
+    rep = BraidRepresentation.from_fzc(4, 3)
+    built = []
+    original_to_matrix = PauliLabel.to_matrix
+
+    def counting_to_matrix(self):
+        built.append(self)
+        return original_to_matrix(self)
+
+    monkeypatch.setattr(PauliLabel, "to_matrix", counting_to_matrix)
+    check_representation(rep)
+    # gamma_1 .. gamma_6 once per call, not once per (U_i, gamma_j) pair,
+    # and the overall parity once
+    assert [label for label in built if label in rep.system.labels] == list(rep.system.labels)
+    assert len(built) == rep.system.n_modes + 1
 
 
 def test_conjugation_law_majorana_case():

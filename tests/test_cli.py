@@ -37,6 +37,15 @@ def test_size_bound_usage_error():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "", "2.5"])
+def test_malformed_size_bound_is_usage_error(monkeypatch, capsys, raw):
+    monkeypatch.setenv("PARABRAID_SIZE_BOUND", raw)
+    with pytest.raises(SystemExit) as err:
+        run_cli(["algebra", "--d", "3", "--pairs", "2"])
+    assert err.value.code == 2
+    assert "PARABRAID_SIZE_BOUND must be a positive integer" in capsys.readouterr().err
+
+
 def test_algebra_applies_the_size_bound_before_the_build(monkeypatch):
     # the label build is quadratic in the pair count, so the dense suite
     # rejects an oversized register before building anything

@@ -45,7 +45,7 @@ def test_label_algebra_matches_matrices(d, n):
         product = DenseOperator.identity(system)
         for q, (xq, zq) in enumerate(zip(a.x, a.z), start=1):
             product = product @ pauli_x(system, q).power(xq) @ pauli_z(system, q).power(zq)
-        assert np.max(np.abs(a.to_matrix() - a.phase_value() * product.mat)) < 1e-12
+        assert np.max(np.abs(a.to_matrix() - np.exp(1j * np.pi * a.phase / d) * product.mat)) < 1e-12
 
 
 def test_extract_pauli_monomial_roundtrip():

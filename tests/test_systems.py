@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parabraid.clifford import PauliLabel
 from parabraid.systems import (
     DenseOperator,
     QuditSystem,
@@ -11,9 +12,12 @@ from parabraid.systems import (
     embed,
     equal_up_to_phase,
     fourier_gate,
+    pauli_monomial,
     pauli_x,
     pauli_z,
 )
+
+from oracles import pauli_monomial_kron
 
 
 def test_qubit_matrices():
@@ -128,3 +132,40 @@ def test_monomial_detection():
     s = QuditSystem(3, 1)
     assert pauli_x(s, 1).is_monomial()
     assert not fourier_gate(3).is_monomial()
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+@pytest.mark.parametrize("d", range(2, 8))
+def test_pauli_monomials_match_kronecker_oracle(d, n):
+    # the phased-permutation build against the product of local factors:
+    # the same support and the same entries, for every phase exponent
+    s = QuditSystem(d, n)
+    rng = np.random.default_rng(100 * d + n)
+    cases = [(tuple(int(v) for v in rng.integers(-d, 2 * d, n)),
+              tuple(int(v) for v in rng.integers(-d, 2 * d, n))) for _ in range(3)]
+    for x, z in cases:
+        for phase in range(2 * d):
+            want = pauli_monomial_kron(d, x, z, phase)
+            label = PauliLabel(d, n, phase, x, z)
+            for got in (pauli_monomial(s, x, z, phase).mat, label.to_matrix()):
+                assert np.array_equal(got != 0, want != 0)
+                assert np.max(np.abs(got - want)) < 1e-14
+    zero = (0,) * n
+    for i in range(1, n + 1):
+        unit = tuple(int(q == i) for q in range(1, n + 1))
+        for got, want in ((pauli_x(s, i), pauli_monomial_kron(d, unit, zero)),
+                          (pauli_z(s, i), pauli_monomial_kron(d, zero, unit))):
+            assert np.array_equal(got.mat != 0, want != 0)
+            assert np.max(np.abs(got.mat - want)) < 1e-14
+
+
+def test_pauli_monomial_rejects_wrong_lengths():
+    s = QuditSystem(3, 2)
+    for x, z in (((1, 0), (1,)), ((1,), (0, 1)), ((1, 0, 2), (0, 0, 0))):
+        with pytest.raises(ValueError, match="need length n = 2"):
+            pauli_monomial(s, x, z)
+    for i in (0, 3):
+        with pytest.raises(IndexError):
+            pauli_x(s, i)
+        with pytest.raises(IndexError):
+            pauli_z(s, i)
