@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,30 +107,48 @@ def gauge_fix(vec: CoefficientVector) -> tuple[CoefficientVector, int]:
     return CoefficientVector(vec.d, vec.c / phase), pivot
 
 
-def unitarity_residual(vec: CoefficientVector) -> float:
-    """Max over r of |sum_m c_m conj(c_{m+r}) - d*delta_{r,0}|."""
-    d, c = vec.d, vec.c
+@lru_cache(maxsize=None)
+def _residual_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of both residuals for one d, built on first use and read-only."""
     idx = np.arange(d)
-    overlap = np.conj(c[(idx[:, None] + idx[None, :]) % d]) @ c  # [r]: sum_m c_m conj(c_{m+r})
-    overlap[0] -= d
-    return float(np.max(np.abs(overlap)))
+    plus = (idx[:, None] + idx[None, :]) % d                   # [r, m] -> (m + r) mod d
+    diff = (idx[:, None] - idx[None, :]) % d                   # [k, r] -> (k - r) mod d
+    omega = np.exp(2j * np.pi * (np.outer(idx, idx) % d) / d)  # [m, r] -> omega**(m r)
+    for table in (plus, diff, omega):
+        table.flags.writeable = False  # shared by every caller
+    return plus, diff, omega
 
 
-def _omega_table(d: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(d) / d)
+def unitarity_residuals(c: np.ndarray) -> np.ndarray:
+    """Max over r of |sum_m c_m conj(c_{m+r}) - d*delta_{r,0}|, per row of a [..., d] stack.
+
+    Both residuals reduce by summing products over the last axis, not by
+    matmul, so a row of a stack gives the same bits as the vector alone.
+    """
+    plus, _, _ = _residual_tables(c.shape[-1])
+    overlap = np.sum(c[..., None, :] * np.conj(c[..., plus]), axis=-1)  # [..., r]
+    overlap[..., 0] -= c.shape[-1]
+    return np.max(np.abs(overlap), axis=-1)
 
 
-def yang_baxter_residual(vec: CoefficientVector) -> float:
-    """Max over (k, m) of the two-sided cubic constraint mismatch.
+def yang_baxter_residuals(c: np.ndarray) -> np.ndarray:
+    """Max over (k, m) of the two-sided cubic constraint mismatch, per row of a [..., d] stack.
 
     With S[k, m] = sum_r c_r c_{k-r} omega**(m r), the left side of
     equation (k, m) is L[k, m] = S[k, m] c_m and the right side is L[m, k].
     """
-    d, c = vec.d, vec.c
-    idx = np.arange(d)
-    conv = c[None, :] * c[(idx[:, None] - idx[None, :]) % d]  # [k, r]: c_r c_{k-r}
-    lhs = (conv @ _omega_table(d)[np.outer(idx, idx) % d].T) * c  # [k, m]: S[k, m] c_m
-    return float(np.max(np.abs(lhs - lhs.T)))
+    _, diff, omega = _residual_tables(c.shape[-1])
+    conv = c[..., None, :] * c[..., diff]                          # [..., k, r]: c_r c_{k-r}
+    lhs = np.sum(conv[..., None, :] * omega, axis=-1) * c[..., None, :]  # [..., k, m]: S[k, m] c_m
+    return np.max(np.abs(lhs - np.swapaxes(lhs, -1, -2)), axis=(-2, -1))
+
+
+def unitarity_residual(vec: CoefficientVector) -> float:
+    return float(unitarity_residuals(vec.c))
+
+
+def yang_baxter_residual(vec: CoefficientVector) -> float:
+    return float(yang_baxter_residuals(vec.c))
 
 
 @dataclass(frozen=True)
@@ -190,7 +209,7 @@ def apply_symmetry(vec: CoefficientVector, which: str, phi: float = 0.0) -> Coef
     if which == "global_phase":
         new = c * np.exp(1j * phi)
     elif which == "twist":
-        new = c * _omega_table(d)
+        new = c * np.exp(2j * np.pi * np.arange(d) / d)
     elif which == "conjugate_reverse":
         new = np.conj(c[(-np.arange(d)) % d])
     else:

@@ -15,27 +15,27 @@ per d, on first use (see _tables); each evaluation is then one gather of
 monomials and one matrix product.
 
 Each restart is one Levenberg-Marquardt descent, MINPACK's lmder (More
-1978) called through scipy.optimize.leastsq; see least_squares.  Its
-`status` is lmder's exit code mapped to the numbering of
-scipy.optimize.least_squares: 0 the evaluation budget ran out, 1 the
+1978) called as scipy.optimize.least_squares(method="lm") calls it; see
+least_squares.  Its `status` is lmder's exit code mapped to the numbering
+of scipy.optimize.least_squares: 0 the evaluation budget ran out, 1 the
 gradient test held, 2 the residual test, 3 the step test, 4 both of the
-last two, -1 improper input.  scipy is imported on the first descent, so
-the rest of the package loads without it.
+last two, -1 improper input.  scipy is imported on the first descent.
 
-Converged points are re-checked through the plain residual definitions in
-`constraints` (a separate code path from the solver objective), gauge
-fixed, and greedily clustered in max-norm: each point joins the first
-cluster, in creation order, whose representative lies within the cluster
-radius, with all distances to the representatives taken in one array
-operation.  The local dimension of the solution manifold at a
-representative starts from the null space of the real Jacobian beyond the
-one direction that is always null (the global phase) and validates each
-candidate direction with a second-order probe; see manifold_dimension.
-Starts are drawn up front and processed in order, and cluster identity is
-first-come, so at d = 2 and 3 a fixed seed gives the same clusters, and at
-every d the same quantised report bytes.  At d = 4 the solutions form a
-continuum and MINPACK's iterates can depend on the process's heap layout,
-so the number of point clusters at one seed can differ between processes.
+After all descents, the end points are re-checked in one pass through the
+stacked residual definitions in `constraints` (a separate code path from
+the solver objective).  Those within tol are gauge fixed, in start order,
+and greedily clustered in max-norm: each point joins the first cluster, in
+creation order, whose representative lies within the cluster radius, with
+all distances to the representatives taken in one array operation.  The
+local dimension of the solution manifold at a representative starts from
+the null space of the real Jacobian beyond the one direction that is
+always null (the global phase) and validates each candidate direction
+with a second-order probe; see manifold_dimension.  Starts are drawn up
+front and processed in order, and cluster identity is first-come, so at
+d = 2 and 3 a fixed seed gives the same clusters, and at every d the same
+quantised report bytes.  At d = 4 the solutions form a continuum and
+MINPACK's iterates can depend on the process's heap layout, so the number
+of point clusters at one seed can differ between processes.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from .constraints import (
     CoefficientVector,
     gauge_fix,
     trivial_vector,
-    unitarity_residual,
-    yang_baxter_residual,
+    unitarity_residuals,
+    yang_baxter_residuals,
 )
 
 DEFAULT_RESTARTS = 2000
@@ -87,8 +87,8 @@ def _split(c: np.ndarray) -> np.ndarray:
 
 
 def _join(u: np.ndarray) -> np.ndarray:
-    d = u.size // 2
-    return u[:d] + 1j * u[d:]
+    d = u.shape[-1] // 2
+    return u[..., :d] + 1j * u[..., d:]
 
 
 class _Tables(NamedTuple):
@@ -184,9 +184,9 @@ def residual_jacobian(u: np.ndarray, d: int) -> np.ndarray:
     return (t.jac_coef @ (g[0] * g[1])).reshape(-1, 2 * d)
 
 
-def combined_residual(vec: CoefficientVector) -> float:
-    """Max of both constraint residuals through the reference definitions."""
-    return max(unitarity_residual(vec), yang_baxter_residual(vec))
+def combined_residuals(c: np.ndarray) -> np.ndarray:
+    """Max of both constraint residuals through the reference definitions, per row of c."""
+    return np.maximum(unitarity_residuals(c), yang_baxter_residuals(c))
 
 
 class LeastSquaresFit(NamedTuple):
@@ -207,12 +207,14 @@ def least_squares(fun, x0: np.ndarray, jac, args: tuple = (),
     The tolerances are fixed at 1e-15, so a descent normally stops on the
     step or residual test; status is explained in the module docstring.
     """
-    from scipy.optimize import leastsq
+    from scipy.optimize import _minpack
 
-    x, _, info, message, code = leastsq(fun, x0, args, Dfun=jac, full_output=True,
-                                        ftol=1e-15, xtol=1e-15, gtol=1e-15, maxfev=max_nfev)
+    # the call scipy.optimize.least_squares(method="lm") makes; lmder writes
+    # its iterates into the array it is given, so it gets a copy of x0
+    x, info, code = _minpack._lmder(fun, jac, np.array(x0, dtype=float), args, 1, 0,
+                                    1e-15, 1e-15, 1e-15, max_nfev, 100.0, None)
     if code not in _LMDER_STATUS:
-        raise RuntimeError(f"lmder exit code {code}: {message}")
+        raise RuntimeError(f"lmder exit code {code} (a tolerance below machine precision)")
     return LeastSquaresFit(x, int(info["nfev"]), _LMDER_STATUS[code])
 
 
@@ -236,13 +238,10 @@ def _anchored_project(target: np.ndarray, d: int, tol: float) -> np.ndarray | No
         return np.concatenate([residual_stack(y, d), root * (y - target)])
 
     def jac(y: np.ndarray) -> np.ndarray:
-        return np.vstack([residual_jacobian(y, d), anchor])
+        return np.concatenate([residual_jacobian(y, d), anchor])
 
     fit = least_squares(fun, target, jac, max_nfev=200)
-    vec = CoefficientVector(d, _join(fit.x))
-    if combined_residual(vec) > tol:
-        return None
-    return fit.x
+    return None if combined_residuals(_join(fit.x)) > tol else fit.x
 
 
 def manifold_dimension(vec: CoefficientVector, tol: float = DEFAULT_TOL) -> int:
@@ -260,7 +259,7 @@ def manifold_dimension(vec: CoefficientVector, tol: float = DEFAULT_TOL) -> int:
 
     Raises if the input does not satisfy the constraints to tol.
     """
-    if combined_residual(vec) > tol:
+    if combined_residuals(vec.c) > tol:
         raise ValueError("manifold dimension is only defined at a solution")
     d = vec.d
     u = _split(vec.c)
@@ -358,18 +357,17 @@ def solve_all(config: SolverConfig) -> SolverResult:
     """Find constraint solutions from random restarts and cluster them."""
     d = config.d
     result = SolverResult(d, config.seed, config.restarts)
-    accepted: list[CoefficientVector] = []
-    for start in _random_starts(config):
+    ends = np.empty((config.restarts, 2 * d))
+    for i, start in enumerate(_random_starts(config)):
         fit = least_squares(residual_stack, _split(start), residual_jacobian, (d,))
         result.nfev += fit.nfev
         result.lm_status[fit.status] = result.lm_status.get(fit.status, 0) + 1
-        vec = CoefficientVector(d, _join(fit.x))
-        if combined_residual(vec) <= config.tol:
-            fixed, _ = gauge_fix(vec)
-            accepted.append(fixed)
-            result.converged += 1
-        else:
-            result.discarded += 1
+        ends[i] = fit.x
+    ends = _join(ends)
+    accepted = [gauge_fix(CoefficientVector(d, c))[0]
+                for c in ends[combined_residuals(ends) <= config.tol]]
+    result.converged = len(accepted)
+    result.discarded = config.restarts - len(accepted)
 
     # representatives in creation order; a vector joins the first cluster
     # within the radius, with distances as in CoefficientVector.distance

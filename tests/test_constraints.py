@@ -19,7 +19,9 @@ from parabraid.constraints import (
     is_trivial,
     trivial_vector,
     unitarity_residual,
+    unitarity_residuals,
     yang_baxter_residual,
+    yang_baxter_residuals,
 )
 
 OMEGA3 = np.exp(2j * np.pi / 3)
@@ -39,18 +41,29 @@ def test_yang_baxter_examples():
 @pytest.mark.parametrize("d", range(2, 7))
 def test_residuals_match_loop_definitions(d):
     # the array residuals against the definitions summed term by term, at
-    # random vectors, every FZC point and (d = 3) every solution-table row
+    # random vectors, every FZC point, the trivial vector, (d = 3) every
+    # solution-table row and (d = 4) family points; a [rows, d] stack is
+    # checked row by row, and a single vector gives the bits of its row
     rng = np.random.default_rng(100 + d)
     vectors = [CoefficientVector(d, rng.normal(size=d) + 1j * rng.normal(size=d))
                for _ in range(20)]
     vectors += [fzc_coefficients(params) for params in all_fzc_params(d)]
+    vectors.append(trivial_vector(d))
     if d == 3:
         vectors += d3_solution_table()
-    for vec in vectors:
-        for fast, loops in ((unitarity_residual, unitarity_residual_loops),
-                            (yang_baxter_residual, yang_baxter_residual_loops)):
+    if d == 4:
+        vectors += [d4_family(phi, sign) for phi in (0.0, 1.3, np.pi / 2) for sign in (+1, -1)]
+    stack = np.array([vec.c for vec in vectors])
+    for fast, stacked, loops in ((unitarity_residual, unitarity_residuals, unitarity_residual_loops),
+                                 (yang_baxter_residual, yang_baxter_residuals,
+                                  yang_baxter_residual_loops)):
+        rows = stacked(stack)
+        assert rows.shape == (len(vectors),)
+        for vec, row in zip(vectors, rows):
             expected = loops(vec)
-            assert abs(fast(vec) - expected) <= 1e-12 * max(1.0, expected)
+            assert abs(row - expected) <= 1e-12 * max(1.0, expected)
+            assert np.shape(stacked(vec.c)) == () and stacked(vec.c) == row == fast(vec)
+        assert np.array_equal(stacked(np.stack([stack, stack[::-1]])), [rows, rows[::-1]])
 
 
 def test_fzc_small_cases():

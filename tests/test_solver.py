@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import residual_jacobian_loops, residual_stack_loops
+from parabraid import solver
 from parabraid.constraints import (
     CoefficientVector,
     FZCParams,
@@ -14,6 +15,7 @@ from parabraid.constraints import (
     d4_family,
     d4_family_distance,
     fzc_coefficients,
+    gauge_fix,
     trivial_vector,
     unitarity_residual,
     yang_baxter_residual,
@@ -21,8 +23,10 @@ from parabraid.constraints import (
 from parabraid.solver import (
     MAX_ITERATIONS,
     SolverConfig,
+    _anchored_project,
     _random_starts,
     _split,
+    combined_residuals,
     least_squares,
     manifold_dimension,
     residual_jacobian,
@@ -102,12 +106,71 @@ def test_least_squares_matches_scipy_lm(d):
 def test_least_squares_raises_on_lmder_codes_without_a_status(monkeypatch):
     # lmder's codes 6-8 (a tolerance below machine precision) must not be
     # counted under another status
-    import scipy.optimize
+    from scipy.optimize import _minpack
 
-    monkeypatch.setattr(scipy.optimize, "leastsq",
-                        lambda *args, **kwargs: (np.zeros(4), None, {"nfev": 3}, "xtol too small", 7))
+    monkeypatch.setattr(_minpack, "_lmder", lambda *args: (np.zeros(4), {"nfev": 3}, 7))
     with pytest.raises(RuntimeError, match="exit code 7"):
         least_squares(residual_stack, np.zeros(4), residual_jacobian, (2,))
+
+
+def test_least_squares_and_anchored_project_leave_their_start_alone():
+    # lmder writes its iterates into the array it is given; the start must
+    # survive, and the anchored objective reads its target on every call
+    d = 3
+    x0 = _split(_random_starts(SolverConfig(d, 1, seed=5))[0])
+    saved = x0.copy()
+    fit = least_squares(residual_stack, x0, residual_jacobian, (d,))
+    assert np.array_equal(x0, saved)
+    assert fit.x is not x0 and not np.array_equal(fit.x, x0)
+
+    u = _split(fzc_coefficients(FZCParams(d, 1, +1)).c)
+    target = u + 1e-3
+    saved = target.copy()
+    assert _anchored_project(target, d, 1e-9) is not None
+    assert np.array_equal(target, saved)
+
+
+def test_solve_all_discards_rows_that_fail_the_residual_check(monkeypatch):
+    # every third descent is replaced by its start, which is not a solution:
+    # the batched acceptance must keep exactly the rows whose reference
+    # residual is within tol, gauge fixed and clustered in start order
+    d, tol = 3, 1e-9
+    ends = []
+
+    def every_third_unconverged(fun, x0, jac, args=(), max_nfev=MAX_ITERATIONS):
+        fit = least_squares(fun, x0, jac, args, max_nfev)
+        if fun is not residual_stack:  # a manifold probe, not a restart
+            return fit
+        if len(ends) % 3 == 2:
+            fit = fit._replace(x=x0.copy())
+        ends.append(fit.x)
+        return fit
+
+    monkeypatch.setattr(solver, "least_squares", every_third_unconverged)
+    result = solve_all(SolverConfig(d, restarts=60, seed=8, tol=tol))
+    vecs = [CoefficientVector(d, u[:d] + 1j * u[d:]) for u in ends]
+    within = [max(unitarity_residual(vec), yang_baxter_residual(vec)) <= tol for vec in vecs]
+    assert np.array_equal(combined_residuals(np.array([vec.c for vec in vecs])) <= tol, within)
+    accepted = [gauge_fix(vec)[0] for vec, ok in zip(vecs, within) if ok]
+    assert 20 <= result.discarded == len(vecs) - len(accepted)
+    assert result.converged == len(accepted) == sum(c.count for c in result.clusters)
+    assert np.array_equal(result.clusters[0].representative.c, accepted[0].c)
+    for cluster in result.clusters:
+        assert any(np.array_equal(cluster.representative.c, vec.c) for vec in accepted)
+
+
+@pytest.mark.parametrize("d, nfev, counts", [
+    (2, 4215, [79, 92, 29]),
+    (3, 4878, [21, 32, 41, 17, 34, 34, 21]),
+])
+def test_descents_pinned(d, nfev, counts):
+    # the total lmder evaluations, exit statuses and cluster counts of a
+    # fixed seed: any change to the descents or their driver shows here
+    result = solve_all(SolverConfig(d, restarts=200, seed=12345))
+    assert result.nfev == nfev
+    assert result.lm_status == {3: 200}
+    assert [c.count for c in result.clusters] == counts
+    assert (result.converged, result.discarded) == (200, 0)
 
 
 def test_manifold_dimension_known_points():
@@ -241,8 +304,9 @@ def test_scipy_imported_on_first_solve():
 
 
 def test_solver_tables_lazy_and_read_only():
-    # nothing is built at import (perfbench's setup_s); the per-d tables are
-    # shared by every caller, so none of them may be writable
+    # nothing is built at import (perfbench's setup_s); the per-d tables of
+    # the solver and of the residuals are shared by every caller, so none of
+    # them may be writable
     script = (
         "import numpy as np, parabraid\n"
         "from parabraid import solver\n"
@@ -250,6 +314,10 @@ def test_solver_tables_lazy_and_read_only():
         "solver.residual_stack(np.ones(6), 3)\n"
         "assert solver._tables.cache_info().currsize == 1\n"
         "assert all(not table.flags.writeable for table in solver._tables(3))\n"
+        "from parabraid import constraints\n"
+        "assert constraints._residual_tables.cache_info().currsize == 0\n"
+        "solver.combined_residuals(np.ones((2, 3)))\n"
+        "assert all(not table.flags.writeable for table in constraints._residual_tables(3))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
