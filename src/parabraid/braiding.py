@@ -168,9 +168,13 @@ class BraidRepresentation:
         return cls(build_parafermions(d, n_pairs), fzc_coefficients(params), fzc=params)
 
     def _build_generator(self, i: int) -> DenseOperator:
+        # sum_m c_m Lambda_i**m / sqrt(d), scattered in order of m from the powers' supports
         d = self.system.d
-        lam = parity_label(self.system, i)
-        acc = sum(self.coefficients.c[m] * (lam ** m).to_matrix() for m in range(d))
+        rows, roots = self.system.parity_powers[i - 1]
+        acc = np.zeros((rows.shape[1],) * 2, dtype=complex)
+        cols = np.arange(rows.shape[1])
+        for m in range(d):
+            acc[rows[m], cols] += self.coefficients.c[m] * roots[m]
         return DenseOperator(acc / math.sqrt(d), d, self.system.n_pairs)
 
     def _validate(self) -> None:

@@ -19,12 +19,13 @@ result downstream; the dense check_* functions are the independent oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .clifford import PauliLabel, symplectic_product
 from .phases import CyclotomicPhase
-from .systems import DenseOperator, QuditSystem, fourier_gate, pauli_monomial, pauli_z
+from .systems import DenseOperator, QuditSystem, fourier_gate, monomial_support, pauli_monomial, pauli_z
 
 BUILD_TOL = 1e-12
 
@@ -46,6 +47,16 @@ class ParafermionSystem:
     def system(self) -> QuditSystem:
         """The dense qudit space; the size bound applies here, not to the labels."""
         return QuditSystem(self.d, self.n_pairs)
+
+    @cached_property
+    def parity_powers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per parity, the monomial_support rows and roots of Lambda_i**m, m < d, each [d, dim].
+
+        Built on first use and kept with the system for every braid representation on it.
+        """
+        supports = [zip(*(monomial_support(self.system, p.x, p.z, p.phase)
+                          for p in (lam ** m for m in range(self.d)))) for lam in self.parities]
+        return tuple((np.array(rows), np.array(roots)) for rows, roots in supports)
 
     def gamma(self, j: int) -> DenseOperator:
         """Dense gamma_j, 1-based."""

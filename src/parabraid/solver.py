@@ -9,10 +9,11 @@ drawn uniformly from the complex disk of radius sqrt(d) per coordinate
 real parameters u = (Re c, Im c) the unitarity components are quadratic and
 the Yang-Baxter components cubic, so the objective is
 f(u) = b + A2 (u x u) + A3 (u x u x u) and its Jacobian
-J(u) = B2 u + B3 (u x u).  The coefficient tensors, packed over the distinct
+J(u) = B2 u + B3 (u x u).  The coefficient tensors, packed over distinct
 monomials of u, are derived from the complex constraint definitions once
-per d, on first use (see _tables); each evaluation is then one gather of
-monomials and one matrix product.
+per d, on first use (see _tables).  Each solve binds the residual and
+Jacobian once, as closures over those tables with their own scratch (see
+_kernels), and an evaluation is one gather of monomials and one gemv.
 
 Each restart is one Levenberg-Marquardt descent, MINPACK's lmder (More
 1978) called as scipy.optimize.least_squares(method="lm") calls it; see
@@ -26,11 +27,10 @@ stacked residual definitions in `constraints` (a separate code path from
 the solver objective).  Those within tol are gauge fixed, in start order,
 and greedily clustered in max-norm: each point joins the first cluster, in
 creation order, whose representative lies within the cluster radius, with
-all distances to the representatives taken in one array operation.  The
-local dimension of the solution manifold at a representative starts from
-the null space of the real Jacobian beyond the one direction that is
-always null (the global phase) and validates each candidate direction
-with a second-order probe; see manifold_dimension.  Starts are drawn up
+all distances to the representatives taken in one array operation.  One
+manifold_dimension call then gives every representative its local
+solution-manifold dimension, probing the Jacobian's null directions and
+checking all probe end points in one stacked pass.  Starts are drawn up
 front and processed in order, and cluster identity is first-come, so at
 d = 2 and 3 a fixed seed gives the same clusters, and at every d the same
 quantised report bytes.  At d = 4 the solutions form a continuum and
@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class SolverConfig:
 
 
 def _split(c: np.ndarray) -> np.ndarray:
-    return np.concatenate([c.real, c.imag])
+    return np.concatenate([c.real, c.imag], axis=-1)
 
 
 def _join(u: np.ndarray) -> np.ndarray:
@@ -162,8 +162,24 @@ def _tables(d: int) -> _Tables:
     return tables
 
 
-_ONE = np.ones(1)
-_ONE.flags.writeable = False
+def _kernels(d: int):
+    """Residual and Jacobian for one d, closures over its tables with their own scratch v = (u, 1)."""
+    t = _tables(d)
+    n = 2 * d
+    v = np.ones(n + 1)
+    r0, r1, r2 = (np.ascontiguousarray(row) for row in t.res_gather)
+    j0, j1 = (np.ascontiguousarray(row) for row in t.jac_gather)
+    res_coef, jac_coef = t.res_coef, t.jac_coef
+
+    def residual(u: np.ndarray) -> np.ndarray:
+        v[:n] = u
+        return np.dot(res_coef, v[r0] * v[r1] * v[r2])
+
+    def jacobian(u: np.ndarray) -> np.ndarray:
+        v[:n] = u
+        return np.dot(jac_coef, v[j0] * v[j1]).reshape(-1, n)
+
+    return residual, jacobian
 
 
 def residual_stack(u: np.ndarray, d: int) -> np.ndarray:
@@ -172,16 +188,12 @@ def residual_stack(u: np.ndarray, d: int) -> np.ndarray:
     Rows are the d unitarity components then the d**2 Yang-Baxter
     components (k, m) in row-major order, real parts above imaginary parts.
     """
-    t = _tables(d)
-    g = np.concatenate((u, _ONE))[t.res_gather]
-    return t.res_coef @ (g[0] * g[1] * g[2])
+    return _kernels(d)[0](u)
 
 
 def residual_jacobian(u: np.ndarray, d: int) -> np.ndarray:
     """Analytic Jacobian of residual_stack with respect to (Re c, Im c)."""
-    t = _tables(d)
-    g = np.concatenate((u, _ONE))[t.jac_gather]
-    return (t.jac_coef @ (g[0] * g[1])).reshape(-1, 2 * d)
+    return _kernels(d)[1](u)
 
 
 def combined_residuals(c: np.ndarray) -> np.ndarray:
@@ -222,81 +234,74 @@ PROBE_STEP = 1e-3
 ANCHOR_WEIGHT = 1e-8
 
 
-def _anchored_project(target: np.ndarray, d: int, tol: float) -> np.ndarray | None:
-    """Nearest solution-set point to `target`, via a weakly anchored solve.
+def _anchored_fit(target: np.ndarray, residual, jacobian) -> np.ndarray:
+    """End point of a descent on the constraints plus sqrt(ANCHOR_WEIGHT) * (y - target).
 
-    Minimizing the constraints plus sqrt(ANCHOR_WEIGHT) * (y - target) has a
-    unique nondegenerate minimum near the target even where the solution
-    set is flat, so the iteration cannot slide along a solution valley the
-    way an unanchored descent does.  Returns None when the minimum is not a
-    constraint solution to tol.
+    The anchor gives a unique nondegenerate minimum near the target even
+    where the solution set is flat, so the iteration cannot slide along a
+    solution valley the way an unanchored descent does.
     """
     root = math.sqrt(ANCHOR_WEIGHT)
     anchor = root * np.eye(target.size)
 
     def fun(y: np.ndarray) -> np.ndarray:
-        return np.concatenate([residual_stack(y, d), root * (y - target)])
+        return np.concatenate([residual(y), root * (y - target)])
 
     def jac(y: np.ndarray) -> np.ndarray:
-        return np.concatenate([residual_jacobian(y, d), anchor])
+        return np.concatenate([jacobian(y), anchor])
 
-    fit = least_squares(fun, target, jac, max_nfev=200)
-    return None if combined_residuals(_join(fit.x)) > tol else fit.x
+    return least_squares(fun, target, jac, max_nfev=200).x
 
 
-def manifold_dimension(vec: CoefficientVector, tol: float = DEFAULT_TOL) -> int:
-    """Local solution-manifold dimension at a constraint solution.
+def manifold_dimension(vecs: Sequence[CoefficientVector], tol: float = DEFAULT_TOL) -> list[int]:
+    """Local solution-manifold dimension at each of a list of solutions of one d.
 
     The candidate null space is read off the Jacobian (singular values
-    below sqrt(tol)), and the global-phase direction, null at every
-    solution, is excluded.  Each remaining candidate direction is then
-    validated by a second-order probe: step PROBE_STEP along it, project
-    back onto the solution set, and keep the displacement.  The dimension
-    is the rank of the surviving displacements.  The probe distinguishes
-    true flat directions from the spurious rank drops that occur at
-    isolated degenerate points of the constraint variety (the d = 4 family
-    has four such points), where the raw Jacobian count overestimates.
-
-    Raises if the input does not satisfy the constraints to tol.
+    below sqrt(tol)), less the global-phase direction, null at every
+    solution.  Each candidate direction is then probed to second order:
+    step PROBE_STEP along it both ways, project back with an anchored
+    descent, and keep the displacement if the end point is a solution to
+    tol.  The dimension is the rank of the kept displacements, so the
+    spurious rank drops at isolated degenerate points of the constraint
+    variety (the d = 4 family has four) do not count.  The inputs, and the
+    probe end points of all of them, are each checked in one stacked pass.
+    Raises if some input does not satisfy the constraints to tol.
     """
-    if combined_residuals(vec.c) > tol:
+    if not vecs:
+        return []
+    d = vecs[0].d
+    cs = np.array([vec.c for vec in vecs])
+    if np.any(combined_residuals(cs) > tol):
         raise ValueError("manifold dimension is only defined at a solution")
-    d = vec.d
-    u = _split(vec.c)
-    jac = residual_jacobian(u, d)
-    _, singulars, v_rows = np.linalg.svd(jac)
-    null_mask = singulars < math.sqrt(tol)
-    n_null = int(np.sum(null_mask))
-    if n_null <= 1:
-        return 0
+    residual, jacobian = _kernels(d)
+    us = _split(cs)
+    # phase direction of each input (made unit where probed); probes as (input, end point)
+    phase_dirs = np.concatenate([-cs.imag, cs.real], axis=1)
+    owners, ends = [], []
+    for k, (u, phase_dir) in enumerate(zip(us, phase_dirs)):
+        _, singulars, v_rows = np.linalg.svd(jacobian(u))
+        null_mask = singulars < math.sqrt(tol)
+        if int(np.sum(null_mask)) <= 1:
+            continue
+        # orthonormal null basis with the phase direction removed
+        phase_dir /= np.linalg.norm(phase_dir)  # sum |c_m|**2 = d at a solution
+        basis = v_rows[null_mask]
+        basis = basis - np.outer(basis @ phase_dir, phase_dir)
+        q, r = np.linalg.qr(basis.T)
+        for w in q[:, np.abs(np.diag(r)) > 1e-8].T:
+            for sign in (+1.0, -1.0):
+                owners.append(k)
+                ends.append(_anchored_fit(u + sign * PROBE_STEP * w, residual, jacobian))
 
-    # orthonormal null basis with the phase direction removed
-    phase_dir = np.concatenate([-vec.c.imag, vec.c.real])
-    norm = np.linalg.norm(phase_dir)
-    if norm > 0:
-        phase_dir /= norm
-    basis = v_rows[null_mask]
-    basis = basis - np.outer(basis @ phase_dir, phase_dir)
-    q, r = np.linalg.qr(basis.T)
-    keep = np.abs(np.diag(r)) > 1e-8
-    directions = q[:, keep].T
-    if directions.shape[0] == 0:
-        return 0
-
-    displacements = []
-    for w in directions:
-        for sign in (+1.0, -1.0):
-            probe = _anchored_project(u + sign * PROBE_STEP * w, d, tol)
-            if probe is None:
-                continue
-            delta = (probe - u) / PROBE_STEP
-            delta = delta - (delta @ phase_dir) * phase_dir
-            if np.linalg.norm(delta) >= 0.5:
-                displacements.append(delta)
-    if not displacements:
-        return 0
-    spectrum = np.linalg.svd(np.array(displacements), compute_uv=False)
-    return int(np.sum(spectrum >= 0.5))
+    displacements: list[list[np.ndarray]] = [[] for _ in vecs]
+    solved = combined_residuals(_join(np.reshape(ends, (-1, 2 * d)))) <= tol
+    for k, end, ok in zip(owners, ends, solved):
+        delta = (end - us[k]) / PROBE_STEP
+        delta = delta - (delta @ phase_dirs[k]) * phase_dirs[k]
+        if ok and np.linalg.norm(delta) >= 0.5:
+            displacements[k].append(delta)
+    return [int(np.sum(np.linalg.svd(np.array(ds), compute_uv=False) >= 0.5)) if ds else 0
+            for ds in displacements]
 
 
 @dataclass
@@ -357,9 +362,10 @@ def solve_all(config: SolverConfig) -> SolverResult:
     """Find constraint solutions from random restarts and cluster them."""
     d = config.d
     result = SolverResult(d, config.seed, config.restarts)
+    residual, jacobian = _kernels(d)
     ends = np.empty((config.restarts, 2 * d))
     for i, start in enumerate(_random_starts(config)):
-        fit = least_squares(residual_stack, _split(start), residual_jacobian, (d,))
+        fit = least_squares(residual, _split(start), jacobian)
         result.nfev += fit.nfev
         result.lm_status[fit.status] = result.lm_status.get(fit.status, 0) + 1
         ends[i] = fit.x
@@ -387,7 +393,8 @@ def solve_all(config: SolverConfig) -> SolverResult:
             result.clusters.append(SolutionCluster(vec, 1, 0.0))
 
     trivial = trivial_vector(d)
-    for cluster in result.clusters:
+    dims = manifold_dimension([cluster.representative for cluster in result.clusters], config.tol)
+    for cluster, dim in zip(result.clusters, dims):
         cluster.trivial = cluster.representative.distance(trivial) <= config.cluster_radius
-        cluster.manifold_dim = manifold_dimension(cluster.representative, config.tol)
+        cluster.manifold_dim = dim
     return result

@@ -185,8 +185,8 @@ def pauli_z(system: QuditSystem, i: int) -> DenseOperator:
     return pauli_monomial(system, (0,) * system.n, _unit(system, i))
 
 
-def pauli_monomial(system: QuditSystem, x_exps, z_exps, phase: int = 0) -> DenseOperator:
-    """exp(i*pi*phase/d) prod_i X_i**x_i Z_i**z_i, built as the phased permutation it is.
+def monomial_support(system: QuditSystem, x_exps, z_exps, phase: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Row and entry of each column of exp(i*pi*phase/d) prod_i X_i**x_i Z_i**z_i.
 
     Column k goes to the row with digits k_i + x_i mod d, with the 2d-th
     root of unity of exponent phase + 2 sum_i z_i k_i mod 2d.
@@ -201,9 +201,15 @@ def pauli_monomial(system: QuditSystem, x_exps, z_exps, phase: int = 0) -> Dense
         digit = cols // place % d
         rows += (digit + a) % d * place
         exps += 2 * b * digit
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[rows, cols] = np.exp(1j * np.pi * np.arange(2 * d) / d)[exps % (2 * d)]
-    return DenseOperator(mat, d, n)
+    return rows, np.exp(1j * np.pi * np.arange(2 * d) / d)[exps % (2 * d)]
+
+
+def pauli_monomial(system: QuditSystem, x_exps, z_exps, phase: int = 0) -> DenseOperator:
+    """exp(i*pi*phase/d) prod_i X_i**x_i Z_i**z_i, built as the phased permutation it is."""
+    rows, roots = monomial_support(system, x_exps, z_exps, phase)
+    mat = np.zeros((system.dim, system.dim), dtype=complex)
+    mat[rows, np.arange(system.dim)] = roots
+    return DenseOperator(mat, system.d, system.n)
 
 
 def fourier_gate(d: int) -> DenseOperator:

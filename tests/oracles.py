@@ -8,7 +8,8 @@ generator tableaux read off dense restricted unitaries, determinant
 counting over Z_d, a transvection sweep
 for the four-dimensional symplectic group over Z_3, tableau group closure
 one composition at a time, the two constraint residuals and the solver
-residual and Jacobian entry by entry.
+residual and Jacobian entry by entry, the solver's manifold probes one
+vector at a time, and braid generators summed from dense parity powers.
 """
 
 from __future__ import annotations
@@ -315,3 +316,62 @@ def residual_jacobian_loops(u: np.ndarray, d: int) -> np.ndarray:
     top = np.hstack([da.real, db.real])
     bot = np.hstack([da.imag, db.imag])
     return np.vstack([top, bot])
+
+
+def manifold_dimension_loop(vec, tol: float = 1e-9) -> int:
+    """Local solution-manifold dimension at one solution, one probe at a time.
+
+    The per-vector form of solver.manifold_dimension: the Jacobian's null
+    space less the phase direction, each candidate direction probed both
+    ways by an anchored descent whose end point is checked on its own.
+    """
+    import math
+
+    from parabraid.solver import (ANCHOR_WEIGHT, PROBE_STEP, combined_residuals,
+                                  least_squares, residual_jacobian, residual_stack)
+
+    if combined_residuals(vec.c) > tol:
+        raise ValueError("manifold dimension is only defined at a solution")
+    d = vec.d
+    u = np.concatenate([vec.c.real, vec.c.imag])
+    _, singulars, v_rows = np.linalg.svd(residual_jacobian(u, d))
+    null_mask = singulars < math.sqrt(tol)
+    if int(np.sum(null_mask)) <= 1:
+        return 0
+    phase_dir = np.concatenate([-vec.c.imag, vec.c.real])
+    norm = np.linalg.norm(phase_dir)
+    if norm > 0:
+        phase_dir /= norm
+    basis = v_rows[null_mask]
+    basis = basis - np.outer(basis @ phase_dir, phase_dir)
+    q, r = np.linalg.qr(basis.T)
+    directions = q[:, np.abs(np.diag(r)) > 1e-8].T
+
+    root = math.sqrt(ANCHOR_WEIGHT)
+    displacements = []
+    for w in directions:
+        for sign in (+1.0, -1.0):
+            target = u + sign * PROBE_STEP * w
+            fit = least_squares(
+                lambda y: np.concatenate([residual_stack(y, d), root * (y - target)]), target,
+                lambda y: np.concatenate([residual_jacobian(y, d), root * np.eye(2 * d)]),
+                max_nfev=200)
+            if combined_residuals(fit.x[:d] + 1j * fit.x[d:]) > tol:
+                continue
+            delta = (fit.x - u) / PROBE_STEP
+            delta = delta - (delta @ phase_dir) * phase_dir
+            if np.linalg.norm(delta) >= 0.5:
+                displacements.append(delta)
+    if not displacements:
+        return 0
+    spectrum = np.linalg.svd(np.array(displacements), compute_uv=False)
+    return int(np.sum(spectrum >= 0.5))
+
+
+def braid_generator_dense_powers(system, coefficients, i: int) -> np.ndarray:
+    """U_i = sum_m c_m Lambda_i**m / sqrt(d), with each power built as a dense matrix."""
+    import math
+
+    lam = system.parities[i - 1]
+    return sum(coefficients.c[m] * (lam ** m).to_matrix()
+               for m in range(system.d)) / math.sqrt(system.d)

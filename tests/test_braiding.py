@@ -20,7 +20,7 @@ from parabraid.parafermions import build_parafermions, parity
 from parabraid.phases import CyclotomicPhase
 from parabraid.systems import DenseOperator
 
-from oracles import eigenspace_scalars
+from oracles import braid_generator_dense_powers, eigenspace_scalars
 
 
 def test_word_parsing_and_roundtrip():
@@ -74,6 +74,30 @@ def test_representation_relations_fzc(d, n_pairs):
             rep = BraidRepresentation.from_fzc(d, n_pairs, r, sign)
             report = check_representation(rep)
             assert report.max_residual < 1e-10
+
+
+@pytest.mark.parametrize("n_pairs", [2, 3])
+@pytest.mark.parametrize("d", range(2, 8))
+def test_generators_match_dense_powers_bitwise(d, n_pairs):
+    # the generators scattered from the parity supports carry the same bits
+    # as the sum of dense powers, at every FZC point
+    system = build_parafermions(d, n_pairs)
+    for r in range(d):
+        for sign in (+1, -1):
+            vec = fzc_coefficients(FZCParams(d, r, sign))
+            rep = BraidRepresentation(system, vec)
+            for i, u in enumerate(rep.generators, start=1):
+                assert np.array_equal(u.mat, braid_generator_dense_powers(system, vec, i))
+
+
+def test_parity_powers_built_once_per_system():
+    system = build_parafermions(3, 2)
+    assert "parity_powers" not in vars(system)
+    BraidRepresentation(system, fzc_coefficients(FZCParams(3, 1, +1)))
+    supports = system.parity_powers
+    BraidRepresentation(system, fzc_coefficients(FZCParams(3, 2, -1)))
+    assert system.parity_powers is supports
+    assert system == build_parafermions(3, 2)
 
 
 def test_representation_relations_trivial_and_family():

@@ -24,7 +24,7 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_every_restart_is_a_traced_least_squares_span():
+def _traced_solve(config):
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import tracing
@@ -35,12 +35,30 @@ def test_every_restart_is_a_traced_least_squares_span():
     try:
         tracer.active = True
         # through the module attribute, where the wrapper is installed
-        result = solver.solve_all(solver.SolverConfig(2, restarts=20, seed=5))
+        result = solver.solve_all(config)
     finally:
         tracer.active = False
         remove()
-    (outer,) = [s for s in tracer.spans if s.name == "solver.solve_all"]
-    restarts = [s for s in tracer.spans
-                if s.name == "solver.least_squares" and s.parent == outer.id]
+    return result, tracer.spans
+
+
+def test_every_restart_is_a_traced_least_squares_span():
+    result, spans = _traced_solve(solver.SolverConfig(2, restarts=20, seed=5))
+    (outer,) = [s for s in spans if s.name == "solver.solve_all"]
+    restarts = [s for s in spans if s.name == "solver.least_squares" and s.parent == outer.id]
     assert len(restarts) == 20
     assert sum(s.attrs["nfev"] for s in restarts) == result.nfev
+
+
+def test_anchored_fits_are_traced_under_manifold_dimension():
+    # at d = 4 every cluster is probed: the restarts must sit under
+    # solve_all and every anchored fit under the one manifold_dimension
+    # span, which is how the benchmark tells the two apart
+    _, spans = _traced_solve(solver.SolverConfig(4, restarts=40, seed=5))
+    (outer,) = [s for s in spans if s.name == "solver.solve_all"]
+    (probes,) = [s for s in spans if s.name == "solver.manifold_dimension"]
+    assert probes.parent == outer.id
+    fits = [s for s in spans if s.name == "solver.least_squares"]
+    assert sum(s.parent == outer.id for s in fits) == 40
+    anchored = [s for s in fits if s.parent != outer.id]
+    assert anchored and all(s.parent == probes.id for s in anchored)

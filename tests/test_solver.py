@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import residual_jacobian_loops, residual_stack_loops
+from oracles import manifold_dimension_loop, residual_jacobian_loops, residual_stack_loops
 from parabraid import solver
 from parabraid.constraints import (
     CoefficientVector,
@@ -23,7 +23,9 @@ from parabraid.constraints import (
 from parabraid.solver import (
     MAX_ITERATIONS,
     SolverConfig,
-    _anchored_project,
+    _anchored_fit,
+    _join,
+    _kernels,
     _random_starts,
     _split,
     combined_residuals,
@@ -113,7 +115,7 @@ def test_least_squares_raises_on_lmder_codes_without_a_status(monkeypatch):
         least_squares(residual_stack, np.zeros(4), residual_jacobian, (2,))
 
 
-def test_least_squares_and_anchored_project_leave_their_start_alone():
+def test_least_squares_and_anchored_fit_leave_their_start_alone():
     # lmder writes its iterates into the array it is given; the start must
     # survive, and the anchored objective reads its target on every call
     d = 3
@@ -126,7 +128,7 @@ def test_least_squares_and_anchored_project_leave_their_start_alone():
     u = _split(fzc_coefficients(FZCParams(d, 1, +1)).c)
     target = u + 1e-3
     saved = target.copy()
-    assert _anchored_project(target, d, 1e-9) is not None
+    assert combined_residuals(_join(_anchored_fit(target, *_kernels(d)))) <= 1e-9
     assert np.array_equal(target, saved)
 
 
@@ -136,17 +138,23 @@ def test_solve_all_discards_rows_that_fail_the_residual_check(monkeypatch):
     # residual is within tol, gauge fixed and clustered in start order
     d, tol = 3, 1e-9
     ends = []
+    probing = []
 
     def every_third_unconverged(fun, x0, jac, args=(), max_nfev=MAX_ITERATIONS):
         fit = least_squares(fun, x0, jac, args, max_nfev)
-        if fun is not residual_stack:  # a manifold probe, not a restart
+        if probing:  # a manifold probe, not a restart
             return fit
         if len(ends) % 3 == 2:
             fit = fit._replace(x=x0.copy())
         ends.append(fit.x)
         return fit
 
+    def flagged_manifold_dimension(vecs, tol):
+        probing.append(True)
+        return manifold_dimension(vecs, tol)
+
     monkeypatch.setattr(solver, "least_squares", every_third_unconverged)
+    monkeypatch.setattr(solver, "manifold_dimension", flagged_manifold_dimension)
     result = solve_all(SolverConfig(d, restarts=60, seed=8, tol=tol))
     vecs = [CoefficientVector(d, u[:d] + 1j * u[d:]) for u in ends]
     within = [max(unitarity_residual(vec), yang_baxter_residual(vec)) <= tol for vec in vecs]
@@ -157,6 +165,7 @@ def test_solve_all_discards_rows_that_fail_the_residual_check(monkeypatch):
     assert np.array_equal(result.clusters[0].representative.c, accepted[0].c)
     for cluster in result.clusters:
         assert any(np.array_equal(cluster.representative.c, vec.c) for vec in accepted)
+    assert len(ends) == 60 and probing == [True]
 
 
 @pytest.mark.parametrize("d, nfev, counts", [
@@ -174,22 +183,64 @@ def test_descents_pinned(d, nfev, counts):
 
 
 def test_manifold_dimension_known_points():
-    assert manifold_dimension(CoefficientVector(2, [1, 1j])) == 0
-    assert manifold_dimension(fzc_coefficients(FZCParams(3, 0, +1))) == 0
-    assert manifold_dimension(trivial_vector(3)) == 0
-    assert manifold_dimension(d4_family(0.0, +1)) == 1
-    assert manifold_dimension(d4_family(1.3, -1)) == 1
+    assert manifold_dimension([CoefficientVector(2, [1, 1j])]) == [0]
+    assert manifold_dimension([fzc_coefficients(FZCParams(3, 0, +1))]) == [0]
+    assert manifold_dimension([trivial_vector(3)]) == [0]
+    assert manifold_dimension([d4_family(0.0, +1)]) == [1]
+    assert manifold_dimension([d4_family(1.3, -1)]) == [1]
 
 
 def test_manifold_dimension_at_degenerate_family_points():
     # the four rank-drop points of the d = 4 family are still locally 1-dim
-    assert manifold_dimension(d4_family(np.pi / 2, +1)) == 1
-    assert manifold_dimension(d4_family(0.0, -1)) == 1
+    assert manifold_dimension([d4_family(np.pi / 2, +1)]) == [1]
+    assert manifold_dimension([d4_family(0.0, -1)]) == [1]
 
 
 def test_manifold_dimension_rejects_non_solutions():
     with pytest.raises(ValueError):
-        manifold_dimension(CoefficientVector(3, [1, 1, 1]))
+        manifold_dimension([CoefficientVector(3, [1, 1, 1])])
+    with pytest.raises(ValueError):
+        manifold_dimension([trivial_vector(3), CoefficientVector(3, [1, 1, 1])])
+    with pytest.raises(ValueError):  # vectors of two dimensions do not stack
+        manifold_dimension([trivial_vector(3), trivial_vector(4)])
+
+
+def test_manifold_dimension_discards_probes_off_the_solution_set(monkeypatch):
+    # a probe whose descent ends off the solution set counts for nothing:
+    # with every anchored descent stopped at its start, no direction survives
+    def stay(fun, x0, jac, args=(), max_nfev=MAX_ITERATIONS):
+        return solver.LeastSquaresFit(x0.copy(), 1, 0)
+
+    monkeypatch.setattr(solver, "least_squares", stay)
+    assert manifold_dimension([d4_family(1.3, +1), d4_family(0.0, -1)]) == [0, 0]
+
+
+def test_manifold_dimension_of_no_vectors_is_empty():
+    # every restart discarded leaves no cluster to probe
+    assert manifold_dimension([]) == []
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_manifold_dimension_matches_loop_on_clusters(d):
+    # one batched call over all representatives gives each the dimension
+    # the one-vector-at-a-time probes give it
+    for seed in (1, 2, 3):
+        result = solve_all(SolverConfig(d, restarts=40, seed=seed))
+        reps = [cluster.representative for cluster in result.clusters]
+        assert reps
+        expected = [manifold_dimension_loop(vec) for vec in reps]
+        assert [cluster.manifold_dim for cluster in result.clusters] == expected
+        assert manifold_dimension(reps) == expected
+
+
+def test_manifold_dimension_matches_loop_on_family_points():
+    # regular and degenerate d = 4 family points with the trivial vector,
+    # in one call
+    vecs = [d4_family(theta, sign) for theta in (0.0, 1.3, np.pi / 2, np.pi) for sign in (+1, -1)]
+    vecs.append(trivial_vector(4))
+    expected = [manifold_dimension_loop(vec) for vec in vecs]
+    assert expected == [1] * 8 + [0]
+    assert manifold_dimension(vecs) == expected
 
 
 def test_config_validation():
