@@ -16,9 +16,9 @@ below to keep the two conventions honest against each other.
 For the quadratic-phase (FZC) family, with Lambda_i P = omega**s P Lambda_i,
 U_i P U_i^dag = omega**(-s(s+2r+d)/2) P Lambda_i**(-s) for every Pauli label
 P (phase exponent -s(s+2r+d) mod 2d), and the - sign family is the inverse
-of the + family at -r.  braid_tableau composes this law into the exact
-tableau of a word; the dense unitaries are its oracle and the only path for
-other coefficient vectors.
+of the + family at -r.  braid_tableau composes this law, on the tableau's
+integer rows, into the exact tableau of a word; the dense unitaries are its
+oracle and the only path for other coefficient vectors.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import CoefficientVector, FZCParams, fzc_coefficients, unitarity_residual
-from .clifford import CliffordTableau, PauliLabel, symplectic_product
+from .clifford import CliffordTableau, _times_power, symplectic_product
 from .parafermions import ParafermionSystem, build_parafermions, overall_parity, parity_eigenbasis, \
     parity_label
 from .phases import CyclotomicPhase, phase_from_complex
@@ -181,16 +181,15 @@ class BraidRepresentation:
         # U_i is a polynomial in Lambda_i, so it commutes with gamma_j whenever
         # Lambda_i does, for any coefficients: a zero symplectic product.
         sys_ = self.system
+        products = symplectic_product([lam.vector() for lam in sys_.parities],
+                                      [g.vector() for g in sys_.labels], sys_.d)
         for i, u in enumerate(self.generators, start=1):
             defect = u.unitarity_defect()
             if defect > BUILD_TOL:
                 raise ValueError(f"U_{i} not unitary: defect {defect:.3e}")
-            lam = parity_label(sys_, i).vector()
-            for j in range(1, sys_.n_modes + 1):
-                if j in (i, i + 1):
-                    continue
-                if symplectic_product(lam, sys_.labels[j - 1].vector(), sys_.d, sys_.n_pairs):
-                    raise ValueError(f"U_{i} fails to commute with gamma_{j}")
+            far = [j for j in np.flatnonzero(products[i - 1]) + 1 if j not in (i, i + 1)]
+            if far:
+                raise ValueError(f"U_{i} fails to commute with gamma_{far[0]}")
 
     def generator(self, i: int) -> DenseOperator:
         if not 1 <= i <= len(self.generators):
@@ -213,25 +212,22 @@ def compose_braid(rep: BraidRepresentation, word: BraidWord) -> DenseOperator:
     return out
 
 
-def exchange_conjugation(lam: PauliLabel, params: FZCParams, exp: int,
-                         label: PauliLabel) -> PauliLabel:
-    """U_i**exp P U_i**(-exp) for the FZC generator U_i, by the closed-form law; lam is Lambda_i."""
-    d, n = lam.d, lam.n
-    e = exp * params.sign  # the - sign family conjugates like the inverse + family at -r
-    s = symplectic_product(lam.vector(), label.vector(), d, n)
-    if s == 0:  # the label commutes with Lambda_i, hence with U_i
-        return label
-    phase = PauliLabel(d, n, -e * s * (s + 2 * params.sign * params.r + d), (0,) * n, (0,) * n)
-    return phase * label * lam ** (-e * s)
-
-
 def braid_tableau(system: ParafermionSystem, params: FZCParams, word: BraidWord) -> CliffordTableau:
-    """Exact conjugation tableau of a braid word's FZC unitary on the physical qudits."""
-    images = CliffordTableau.identity(system.d, system.n_pairs).images
+    """Exact conjugation tableau of a braid word's FZC unitary on the physical qudits.
+
+    Each letter U_i**exp applies the exchange law to all image rows P at once:
+    s = sp(Lambda_i, P), phase exponent -e s(s+2r+d), times Lambda_i**(-e s).
+    """
+    d, sign, rows = system.d, params.sign, 2 * system.n_pairs
+    vecs, phases = np.eye(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64)
     for idx, exp in word.entries:  # entry 0 acts first, so it conjugates first
         lam = parity_label(system, idx)
-        images = tuple(exchange_conjugation(lam, params, exp, img) for img in images)
-    return CliffordTableau(system.d, system.n_pairs, images)
+        lam_vec = np.array(lam.vector(), dtype=np.int64)
+        e = exp * sign  # the - sign family conjugates like the inverse + family at -r
+        s = symplectic_product(lam_vec, vecs, d)
+        vecs, phases = _times_power(vecs, phases - e * s * (s + 2 * sign * params.r + d),
+                                    (-e * s) % d, lam_vec, lam.phase, d)
+    return CliffordTableau(d, system.n_pairs, vecs, phases)
 
 
 @dataclass(frozen=True)
@@ -282,7 +278,7 @@ class ConjugationResult:
     """Images of the exchanged pair under conjugation by U_i.
 
     For the + sign quadratic-phase family the dense images are compared with
-    the exact images of exchange_conjugation (`residual` is the worst matrix
+    the exact images under braid_tableau (`residual` is the worst matrix
     mismatch), and their phases against the monomials of the law
 
         gamma_i     -> omega**(-r)   gamma_{i+1}
@@ -309,9 +305,8 @@ def conjugation_action(rep: BraidRepresentation, i: int, tol: float = 1e-10) -> 
         return ConjugationResult(img1, img2)
     d = rep.fzc.d
     labels = rep.system.labels
-    lam = parity_label(rep.system, i)
-    target1, target2 = (exchange_conjugation(lam, rep.fzc, +1, g).to_operator()
-                        for g in labels[i - 1:i + 1])
+    exchange = braid_tableau(rep.system, rep.fzc, BraidWord(((i, +1),)))
+    target1, target2 = (exchange.apply(g).to_operator() for g in labels[i - 1:i + 1])
     residual = max(img1.max_diff(target1), img2.max_diff(target2))
     lam1 = equal_up_to_phase(img1, g2, tol)
     lam2 = equal_up_to_phase(img2, (labels[i - 1].inverse() * labels[i] ** 2).to_operator(), tol)

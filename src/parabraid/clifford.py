@@ -7,9 +7,12 @@ A Pauli monomial on n qudits is written canonically as
 with x, z in Z_d**n and the phase exponent mod 2*d (conjugation images of
 Pauli words only ever need 2d-th roots of unity).  A Clifford element is
 stored modulo global phase as its conjugation tableau: the images of the
-2n generators X_1..X_n, Z_1..Z_n as PauliLabels.  Tableaux compose and
-invert symbolically, so group closures never touch matrices; the closure
-itself runs as a vectorized breadth-first sweep over packed integer keys.
+2n generators X_1..X_n, Z_1..Z_n as two integer arrays, the 2n x 2n
+exponent rows (x|z) mod d and the 2n phase exponents mod 2d.  PauliLabel
+is the user-facing label algebra; every conjugation in the package is the
+one array step _times_power (label rows times a label power), so group
+closures never touch matrices; the closure itself runs as a vectorized
+breadth-first sweep over packed integer keys.
 """
 
 from __future__ import annotations
@@ -105,18 +108,32 @@ class PauliLabel:
         return DenseOperator(self.to_matrix(), self.d, self.n)
 
 
-def symplectic_product(u: tuple[int, ...], v: tuple[int, ...], d: int, n: int) -> int:
-    """P(u) P(v) = omega**sp(u, v) P(v) P(u) for exponent vectors (x|z)."""
-    ux, uz = u[:n], u[n:]
-    vx, vz = v[:n], v[n:]
-    return (sum(a * b for a, b in zip(uz, vx)) - sum(a * b for a, b in zip(vz, ux))) % d
+def symplectic_product(u, v, d: int) -> np.ndarray:
+    """P(u) P(v) = omega**sp(u, v) P(v) P(u) for exponent vectors (x|z), mod d.
+
+    u and v are vectors or stacks of them (rows); two stacks give all pairs.
+    """
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    n = u.shape[-1] // 2
+    return (u[..., n:] @ v[..., :n].T - u[..., :n] @ v[..., n:].T) % d
 
 
 def _symplectic_form(n: int) -> np.ndarray:
-    """Integer matrix J with symplectic_product(u, v) = u^T J v (mod d)."""
-    eye = np.eye(n, dtype=np.int64)
-    zero = np.zeros((n, n), dtype=np.int64)
-    return np.block([[zero, -eye], [eye, zero]])
+    """Integer matrix J = [[0, -I], [I, 0]] with symplectic_product(u, v) = u J v^T (mod d)."""
+    return np.eye(2 * n, k=-n, dtype=np.int64) - np.eye(2 * n, k=n, dtype=np.int64)
+
+
+def _times_power(vecs: np.ndarray, phases: np.ndarray, k: np.ndarray, vec: np.ndarray,
+                 phase: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each label row (vecs, phases) times the label (vec, phase) to its own power k >= 0.
+
+    label**k has phase k*p + (z.x)*k*(k-1), and row * label picks up 2*(z_row . x),
+    because Z**z X**x = omega**(z*x) X**x Z**z and omega is phase exponent 2.
+    """
+    n = vec.size // 2
+    zx = int(vec[n:] @ vec[:n])
+    phases = phases + k * phase + zx * k * (k - 1) + 2 * k * (vecs[:, n:] @ vec[:n])
+    return (vecs + k[:, None] * vec) % d, phases % (2 * d)
 
 
 def extract_pauli_monomial(mat: np.ndarray, d: int, n: int,
@@ -156,86 +173,90 @@ def extract_pauli_monomial(mat: np.ndarray, d: int, n: int,
     return label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliffordTableau:
-    """Conjugation action on the Pauli generators, modulo global phase.
+    """Conjugation action on the Pauli generators X_1..X_n, Z_1..Z_n, modulo global phase.
 
-    images holds the conjugation images of X_1..X_n, Z_1..Z_n in that
-    order.  The symplectic condition (images commute exactly like their
-    preimages) is validated at construction.
+    Row c of the read-only `vecs` is generator c's image exponents (x|z) mod d,
+    `phases[c]` its phase exponent mod 2d.  Construction checks that the images
+    commute like their preimages (V J V^T = J mod d) and have d-th power 1.
     """
 
     d: int
     n: int
-    images: tuple[PauliLabel, ...]
+    vecs: np.ndarray
+    phases: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.images) != 2 * self.n:
-            raise ValueError(f"expected {2 * self.n} generator images")
-        for img in self.images:
-            if (img.d, img.n) != (self.d, self.n):
-                raise ValueError("image label ring mismatch")
-        basis = _generator_vectors(self.d, self.n)
-        for i in range(2 * self.n):
-            for j in range(i + 1, 2 * self.n):
-                want = symplectic_product(basis[i], basis[j], self.d, self.n)
-                got = symplectic_product(
-                    self.images[i].vector(), self.images[j].vector(), self.d, self.n
-                )
-                if want != got:
-                    raise ValueError("images violate the symplectic condition")
+        d, n = self.d, self.n
+        vecs = np.array(self.vecs, dtype=np.int64) % d
+        phases = np.array(self.phases, dtype=np.int64) % (2 * d)
+        if vecs.shape != (2 * n, 2 * n) or phases.shape != (2 * n,):
+            raise ValueError(f"expected {2 * n} generator images")
+        if not np.array_equal(symplectic_product(vecs, vecs, d), _symplectic_form(n) % d):
+            raise ValueError("images violate the symplectic condition")
+        zx = np.sum(vecs[:, :n] * vecs[:, n:], axis=1)
+        if np.any((d * phases + zx * d * (d - 1)) % (2 * d)):
+            raise ValueError("an image's d-th power is not the identity")
+        for name, arr in (("vecs", vecs), ("phases", phases)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def identity(cls, d: int, n: int) -> "CliffordTableau":
-        images = []
-        for vec in _generator_vectors(d, n):
-            images.append(PauliLabel(d, n, 0, vec[:n], vec[n:]))
-        return cls(d, n, tuple(images))
+        return cls(d, n, np.eye(2 * n, dtype=np.int64), np.zeros(2 * n, dtype=np.int64))
+
+    @classmethod
+    def from_images(cls, d: int, n: int, images: list[PauliLabel] | tuple[PauliLabel, ...]
+                    ) -> "CliffordTableau":
+        """Tableau whose generator images are the given PauliLabels."""
+        if any((img.d, img.n) != (d, n) for img in images):
+            raise ValueError("image label ring mismatch")
+        return cls(d, n, [img.vector() for img in images], [img.phase for img in images])
+
+    @property
+    def images(self) -> tuple[PauliLabel, ...]:
+        return tuple(PauliLabel(self.d, self.n, p, x, z) for x, z, p in self.key())
+
+    def apply_rows(self, vecs: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Images of the labels with exponent rows `vecs` (x|z) and phase exponents `phases`:
+        exp(i*pi*p/d) prod_c P_c**k_c maps to exp(i*pi*p/d) prod_c image_c**k_c."""
+        acc = np.zeros_like(vecs)
+        for col in range(2 * self.n):
+            acc, phases = _times_power(acc, phases, vecs[:, col], self.vecs[col],
+                                       self.phases[col], self.d)
+        return acc, phases
 
     def apply(self, label: PauliLabel) -> PauliLabel:
         """Image of an arbitrary Pauli label under this conjugation."""
-        acc = PauliLabel.identity(self.d, self.n)
-        for q in range(self.n):
-            if label.x[q]:
-                acc = acc * (self.images[q] ** label.x[q])
-            if label.z[q]:
-                acc = acc * (self.images[self.n + q] ** label.z[q])
-        return PauliLabel(self.d, self.n, acc.phase + label.phase, acc.x, acc.z)
+        vecs, phases = self.apply_rows(np.array([label.vector()]), np.array([label.phase]))
+        row = vecs[0].tolist()
+        return PauliLabel(self.d, self.n, int(phases[0]), tuple(row[:self.n]), tuple(row[self.n:]))
 
     def compose(self, first: "CliffordTableau") -> "CliffordTableau":
         """Tableau of U_self @ U_first (self applied after first)."""
         if (first.d, first.n) != (self.d, self.n):
             raise ValueError("tableau ring mismatch")
-        return CliffordTableau(self.d, self.n, tuple(self.apply(img) for img in first.images))
-
-    def symplectic_matrix(self) -> np.ndarray:
-        """2n x 2n matrix over Z_d whose columns are the image vectors."""
-        return np.array([img.vector() for img in self.images], dtype=np.int64).T % self.d
+        return CliffordTableau(self.d, self.n, *self.apply_rows(first.vecs, first.phases))
 
     def inverse(self) -> "CliffordTableau":
-        # A symplectic M satisfies M^T J M = J, so M^-1 = -J M^T J (mod d).
+        # V J V^T = J gives V^-1 = -J V^T J (mod d); the phases undo the round trip.
         form = _symplectic_form(self.n)
-        m_inv = (-form @ self.symplectic_matrix().T @ form) % self.d
-        images = []
-        for j in range(2 * self.n):
-            vec = tuple(int(v) for v in m_inv[:, j])
-            bare = PauliLabel(self.d, self.n, 0, vec[: self.n], vec[self.n:])
-            round_trip = self.apply(bare)
-            images.append(PauliLabel(self.d, self.n, -round_trip.phase,
-                                     vec[: self.n], vec[self.n:]))
-        return CliffordTableau(self.d, self.n, tuple(images))
+        vecs = (-form @ self.vecs.T @ form) % self.d
+        _, back = self.apply_rows(vecs, np.zeros(2 * self.n, dtype=np.int64))
+        return CliffordTableau(self.d, self.n, vecs, -back)
 
     def key(self) -> tuple:
-        return tuple((img.x, img.z, img.phase) for img in self.images)
+        n = self.n
+        return tuple((tuple(row[:n]), tuple(row[n:]), p)
+                     for row, p in zip(self.vecs.tolist(), self.phases.tolist()))
 
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, CliffordTableau) and (self.d, self.n) == (other.d, other.n)
+                and self.key() == other.key())
 
-def _generator_vectors(d: int, n: int) -> list[tuple[int, ...]]:
-    out = []
-    for i in range(2 * n):
-        vec = [0] * (2 * n)
-        vec[i] = 1
-        out.append(tuple(vec))
-    return out
+    def __hash__(self) -> int:
+        return hash((self.d, self.n, self.key()))
 
 
 def clifford_membership(op: DenseOperator, tol: float = MEMBERSHIP_TOL) -> CliffordTableau | None:
@@ -256,7 +277,7 @@ def clifford_membership(op: DenseOperator, tol: float = MEMBERSHIP_TOL) -> Cliff
             if label is None:
                 return None
             images.append(label)
-    return CliffordTableau(d, n, tuple(images))
+    return CliffordTableau.from_images(d, n, images)
 
 
 def reference_phase_gate(d: int) -> DenseOperator:
@@ -323,18 +344,11 @@ def _pack_params(d: int, n: int) -> tuple[int, int, int]:
     return d ** (2 * n), 2 * d, _column_space(d, n)
 
 
-def _vector_index(vec: tuple[int, ...], d: int) -> int:
-    idx = 0
-    for v in reversed(vec):
-        idx = idx * d + (v % d)
-    return idx
-
-
 def tableau_key(tab: CliffordTableau) -> int:
-    vec_space, phase_space, col_space = _pack_params(tab.d, tab.n)
+    _, phase_space, col_space = _pack_params(tab.d, tab.n)
+    codes = (tab.vecs @ tab.d ** np.arange(2 * tab.n, dtype=np.int64)) * phase_space + tab.phases
     key = 0
-    for img in reversed(tab.images):
-        code = _vector_index(img.vector(), tab.d) * phase_space + img.phase
+    for code in reversed(codes.tolist()):
         key = key * col_space + code
     return key
 
@@ -344,27 +358,15 @@ def _gen_tables(tab: CliffordTableau) -> tuple[np.ndarray, np.ndarray]:
 
     Entry idx is the image under `tab` of the unphased Pauli label whose
     exponent vector (x|z) has the base-d digits of idx, least significant
-    first: its packed vector index and its phase.  All labels are built at
-    once with the arithmetic of `apply`: powers of the generator images,
-    multiplied in the order X_1, Z_1, X_2, Z_2, ...  The tables hold vector
-    indices below d**(2n), not packed keys, so no key-width check applies.
+    first: its packed vector index and its phase, all d**(2n) labels in one
+    apply_rows.  The tables hold vector indices below d**(2n), not packed
+    keys, so no key-width check applies.
     """
     d, n = tab.d, tab.n
-    vec_space = d ** (2 * n)
     powers = d ** np.arange(2 * n, dtype=np.int64)
-    digits = (np.arange(vec_space, dtype=np.int64)[:, None] // powers) % d
-    acc_vec = np.zeros((vec_space, 2 * n), dtype=np.int64)
-    acc_phase = np.zeros(vec_space, dtype=np.int64)
-    for q in range(n):
-        for col in (q, n + q):
-            img = tab.images[col]
-            vec = np.array(img.vector(), dtype=np.int64)
-            zx = sum(a * b for a, b in zip(img.z, img.x))
-            k = digits[:, col]
-            # acc * img**k, with Z**z X**x = omega**(z*x) X**x Z**z as in __mul__
-            acc_phase += k * img.phase + zx * k * (k - 1) + 2 * k * (acc_vec[:, n:] @ vec[:n])
-            acc_vec += k[:, None] * vec
-    return (acc_vec % d) @ powers, acc_phase % (2 * d)
+    digits = (np.arange(d ** (2 * n), dtype=np.int64)[:, None] // powers) % d
+    vecs, phases = tab.apply_rows(digits, np.zeros(d ** (2 * n), dtype=np.int64))
+    return vecs @ powers, phases
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:

@@ -87,10 +87,6 @@ def trivial_vector(d: int) -> CoefficientVector:
     return CoefficientVector(d, c)
 
 
-def is_trivial(vec: CoefficientVector, tol: float = 1e-6) -> bool:
-    return vec.distance(trivial_vector(vec.d)) <= tol
-
-
 def gauge_fix(vec: CoefficientVector) -> tuple[CoefficientVector, int]:
     """Rotate the global phase so the pivot coefficient is real nonnegative.
 
@@ -258,40 +254,3 @@ def d3_solution_table() -> list[CoefficientVector]:
         (1, w, w),
     ]
     return [CoefficientVector(3, row) for row in rows]
-
-
-def d3_system_residuals(vec: CoefficientVector) -> list[float]:
-    """The six scalar equations of the reduced d = 3 constraint system.
-
-    Exercised individually so the system reduction is testable on its own,
-    independent of the generic residual definitions above.
-    """
-    if vec.d != 3:
-        raise ValueError("reduced system is for d = 3")
-    c0, c1, c2 = vec.c
-    eqs = [
-        abs(c0) ** 2 + abs(c1) ** 2 + abs(c2) ** 2 - 3,
-        c0 * np.conj(c1) + c1 * np.conj(c2) + c2 * np.conj(c0),
-        c0 * np.conj(c2) + c1 * np.conj(c0) + c2 * np.conj(c1),
-        c0**2 * c1 + c1**2 * c2 + c2**2 * c0,
-        c0**2 * c2 + c1**2 * c0 + c2**2 * c1,
-        c1**3 - c2**3,
-    ]
-    return [abs(e) for e in eqs]
-
-
-def d4_system_residuals(vec: CoefficientVector) -> list[float]:
-    """The seven scalar equations of the reduced d = 4 constraint system."""
-    if vec.d != 4:
-        raise ValueError("reduced system is for d = 4")
-    c0, c1, c2, c3 = vec.c
-    eqs = [
-        abs(c0) ** 2 + abs(c1) ** 2 + abs(c2) ** 2 + abs(c3) ** 2 - 4,
-        c0 * np.conj(c1) + c1 * np.conj(c2) + c2 * np.conj(c3) + c3 * np.conj(c0),
-        c0 * np.conj(c2) + c1 * np.conj(c3) + c2 * np.conj(c0) + c3 * np.conj(c1),
-        c1 * (c0**2 + c2**2) + 2 * c0 * c2 * c3,
-        c3 * (c0**2 + c2**2) + 2 * c0 * c1 * c2,
-        c0 * (c1**2 + c3**2) + c0**2 * c2 - c2**3 + 2 * c1 * c2 * c3,
-        c1**2 - c3**2,
-    ]
-    return [abs(e) for e in eqs]

@@ -15,8 +15,8 @@ the square of the leading diagonal phase, rather than holding only up to
 basis choice.
 
 Clifford braids are restricted exactly too, by stabilizer bookkeeping on
-their tableaux: a word must map each S_q to stabilizers, and a logical image
-omega**(phi/2) X_L**a Z_L**b (times stabilizers) restricts to
+their tableaux' integer rows: a word must map each S_q to stabilizers, and a
+logical image omega**(phi/2) X_L**a Z_L**b (times stabilizers) restricts to
 omega**(phi/2) X**a Z**b.
 """
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .braiding import BraidRepresentation, BraidWord, braid_tableau, canonical_word, compose_braid, \
     diagonal_phases
-from .clifford import CliffordTableau, PauliLabel, symplectic_product
+from .clifford import CliffordTableau, PauliLabel, _times_power, symplectic_product
 from .constraints import FZCParams
 from .parafermions import ParafermionSystem, build_parafermions, parity_eigenbasis, parity_label
 from .phases import CyclotomicPhase, phase_from_complex
@@ -136,29 +136,31 @@ def restrict_word(enc: Encoding, word: BraidWord) -> tuple[DenseOperator, float]
 def logical_tableau(system: ParafermionSystem, physical: CliffordTableau) -> CliffordTableau:
     """Restriction of a physical conjugation tableau to the code, exactly.
 
-    Raises ValueError, as the dense restriction does, when the word leaks.
+    Raises ValueError, as the dense restriction does, when the word leaks:
+    when an image of Z_L, X_L or S_q fails to commute with some S_q, or an
+    S_q does not restrict to the identity.
     """
     layout = code_layout(system)
-    d, n = system.d, system.n_pairs
-
-    def logical(label: PauliLabel) -> PauliLabel:
-        image = physical.apply(label)
-        if any(symplectic_product(s.vector(), image.vector(), d, n) for _, _, s in layout):
-            raise ValueError("braid word leaks out of the computational subspace")
-        # Z_L X_L = omega X_L Z_L reads off a, b in image = X_L**a Z_L**b * rest.
-        a = [symplectic_product(z_l.vector(), image.vector(), d, n) for z_l, _, _ in layout]
-        b = [symplectic_product(image.vector(), x_l.vector(), d, n) for _, x_l, _ in layout]
-        rest = image
-        for (z_l, x_l, _), a_q, b_q in zip(layout, a, b):
-            rest = rest * (x_l ** a_q * z_l ** b_q).inverse()
-        # rest commutes with the whole code, so it is a phase times stabilizers,
-        # each Xdag Xdag with phase exponent 0: its phase is that of T(image).
-        return PauliLabel(d, len(layout), rest.phase, tuple(a), tuple(b))
-
-    if any(logical(s) != PauliLabel.identity(d, len(layout)) for _, _, s in layout):
+    d, m = system.d, len(layout)
+    z_l, x_l, stabilizers = zip(*layout)
+    code = x_l + z_l + stabilizers
+    code_vecs = np.array([label.vector() for label in code])
+    code_phases = np.array([label.phase for label in code])
+    vecs, phases = physical.apply_rows(code_vecs, code_phases)
+    products = symplectic_product(vecs, code_vecs, d).reshape(3 * m, 3, m)
+    if products[:, 2].any():
         raise ValueError("braid word leaks out of the computational subspace")
-    images = [logical(x_l) for _, x_l, _ in layout] + [logical(z_l) for z_l, _, _ in layout]
-    return CliffordTableau(d, len(layout), tuple(images))
+    # Z_L X_L = omega X_L Z_L reads off a, b in image = X_L**a Z_L**b * rest;
+    # rest commutes with the whole code, so it is a phase times stabilizers,
+    # each Xdag Xdag with phase exponent 0: its phase is that of T(image).
+    a, b = -products[:, 1] % d, products[:, 0]
+    for q in range(m):
+        for c, k in ((m + q, -b[:, q]), (q, -a[:, q])):  # rest = image Z_L**-b X_L**-a
+            vecs, phases = _times_power(vecs, phases, k % d, code_vecs[c], code_phases[c], d)
+    logical = np.concatenate([a, b], axis=1)
+    if logical[2 * m:].any() or phases[2 * m:].any():
+        raise ValueError("braid word leaks out of the computational subspace")
+    return CliffordTableau(d, m, logical[:2 * m], phases[:2 * m])
 
 
 @dataclass(frozen=True)

@@ -80,10 +80,10 @@ def build_parafermions(d: int, n_pairs: int) -> ParafermionSystem:
         labels.append(PauliLabel(d, n_pairs, 0, tuple(int(q < i) for q in range(n_pairs)), z))
         labels.append(PauliLabel(d, n_pairs, d + 1, tuple(int(q <= i) for q in range(n_pairs)), z))
     identity = PauliLabel.identity(d, n_pairs)
-    for j, g in enumerate(labels):
-        if g ** d != identity or any(symplectic_product(g.vector(), h.vector(), d, n_pairs) != 1
-                                     for h in labels[j + 1:]):
-            raise ValueError(f"parafermion algebra violated at gamma_{j + 1}")
+    products = symplectic_product([g.vector() for g in labels], [g.vector() for g in labels], d)
+    bad = np.triu(products != 1, k=1).any(axis=1) | [g ** d != identity for g in labels]
+    if bad.any():
+        raise ValueError(f"parafermion algebra violated at gamma_{np.argmax(bad) + 1}")
     pref = PauliLabel(d, n_pairs, d + 1, (0,) * n_pairs, (0,) * n_pairs)
     parities = tuple(pref * g * h.inverse() for g, h in zip(labels, labels[1:]))
     return ParafermionSystem(d, n_pairs, tuple(labels), parities)

@@ -122,9 +122,6 @@ class DenseOperator:
         gram = self.mat @ self.mat.conj().T
         return float(np.max(np.abs(gram - np.eye(self.dim))))
 
-    def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.unitarity_defect() <= tol
-
     def commutator_norm(self, other: "DenseOperator") -> float:
         return float(np.max(np.abs(self.mat @ other.mat - other.mat @ self.mat)))
 

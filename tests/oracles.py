@@ -6,10 +6,12 @@ phase normalization, Pauli monomials as Kronecker products of local
 factors, the Jordan-Wigner parafermions as dense string products, braid
 generator tableaux read off dense restricted unitaries, determinant
 counting over Z_d, a transvection sweep
-for the four-dimensional symplectic group over Z_3, tableau group closure
-one composition at a time, the two constraint residuals and the solver
-residual and Jacobian entry by entry, the solver's manifold probes one
-vector at a time, and braid generators summed from dense parity powers.
+for the four-dimensional symplectic group over Z_3, tableau conjugation,
+composition and inversion in PauliLabel arithmetic one label at a time,
+tableau group closure one composition at a time, the two constraint
+residuals, the reduced d = 3 and d = 4 systems and the solver residual and
+Jacobian entry by entry, the solver's manifold probes one vector at a
+time, and braid generators summed from dense parity powers.
 """
 
 from __future__ import annotations
@@ -176,18 +178,70 @@ def sp4_z3_order() -> int:
     return int(visited.size)
 
 
+def symplectic_product_loop(u, v, d: int) -> int:
+    """sp(u, v) = z_u . x_v - z_v . x_u mod d for one pair of (x|z) vectors, term by term."""
+    n = len(u) // 2
+    return (sum(a * b for a, b in zip(u[n:], v[:n])) - sum(a * b for a, b in zip(v[n:], u[:n]))) % d
+
+
+def tableau_apply_loop(tab, label):
+    """Image of a Pauli label under a tableau in PauliLabel arithmetic.
+
+    The label's generator powers are multiplied in one at a time, in the
+    order X_1, Z_1, X_2, Z_2, ..., as powers of the generator images.
+    """
+    from parabraid.clifford import PauliLabel
+
+    d, n = tab.d, tab.n
+    images = tab.images
+    acc = PauliLabel.identity(d, n)
+    for q in range(n):
+        if label.x[q]:
+            acc = acc * (images[q] ** label.x[q])
+        if label.z[q]:
+            acc = acc * (images[n + q] ** label.z[q])
+    return PauliLabel(d, n, acc.phase + label.phase, acc.x, acc.z)
+
+
+def tableau_compose_loop(later, first):
+    """Tableau of U_later @ U_first, one label image at a time."""
+    from parabraid.clifford import CliffordTableau
+
+    return CliffordTableau.from_images(first.d, first.n,
+                                       [tableau_apply_loop(later, img) for img in first.images])
+
+
+def tableau_inverse_loop(tab):
+    """Inverse tableau: vectors from M^-1 = -J M^T J (M with the image vectors as columns),
+    phases from the label round trip through tableau_apply_loop."""
+    from parabraid.clifford import CliffordTableau, PauliLabel
+
+    d, n = tab.d, tab.n
+    form = np.block([[np.zeros((n, n), dtype=np.int64), -np.eye(n, dtype=np.int64)],
+                     [np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)]])
+    m = np.array([img.vector() for img in tab.images], dtype=np.int64).T
+    m_inv = (-form @ m.T @ form) % d
+    images = []
+    for j in range(2 * n):
+        vec = tuple(int(v) for v in m_inv[:, j])
+        round_trip = tableau_apply_loop(tab, PauliLabel(d, n, 0, vec[:n], vec[n:]))
+        images.append(PauliLabel(d, n, -round_trip.phase, vec[:n], vec[n:]))
+    return CliffordTableau.from_images(d, n, images)
+
+
 def closure_keys_reference(generators: list) -> list[int]:
     """Sorted packed keys of the group a tableau set generates.
 
     Plain breadth-first search: every frontier element is composed with
-    each generator and inverse through `CliffordTableau.compose`, and
-    `tableau_key` values are collected in a Python set.  None of the
-    vectorized closure's lookup tables or array deduplication is used.
+    each generator and inverse in label arithmetic (`tableau_compose_loop`,
+    `tableau_inverse_loop`), and `tableau_key` values are collected in a
+    Python set.  None of the vectorized closure's lookup tables, array
+    deduplication or array conjugation is used.
     """
     from parabraid.clifford import CliffordTableau, tableau_key
 
     first = generators[0]
-    gens = list(generators) + [g.inverse() for g in generators]
+    gens = list(generators) + [tableau_inverse_loop(g) for g in generators]
     identity = CliffordTableau.identity(first.d, first.n)
     seen = {tableau_key(identity)}
     frontier = [identity]
@@ -195,7 +249,7 @@ def closure_keys_reference(generators: list) -> list[int]:
         fresh = []
         for tab in frontier:
             for g in gens:
-                product = g.compose(tab)
+                product = tableau_compose_loop(g, tab)
                 key = tableau_key(product)
                 if key not in seen:
                     seen.add(key)
@@ -366,6 +420,54 @@ def manifold_dimension_loop(vec, tol: float = 1e-9) -> int:
         return 0
     spectrum = np.linalg.svd(np.array(displacements), compute_uv=False)
     return int(np.sum(spectrum >= 0.5))
+
+
+def is_unitary(op, tol: float) -> bool:
+    return op.unitarity_defect() <= tol
+
+
+def is_trivial(vec, tol: float = 1e-6) -> bool:
+    """Whether a coefficient vector is the trivial solution (sqrt(d), 0, .., 0)."""
+    from parabraid.constraints import trivial_vector
+
+    return vec.distance(trivial_vector(vec.d)) <= tol
+
+
+def d3_system_residuals(vec) -> list[float]:
+    """The six scalar equations of the reduced d = 3 constraint system.
+
+    Exercised individually so the system reduction is testable on its own,
+    independent of the generic residual definitions.
+    """
+    if vec.d != 3:
+        raise ValueError("reduced system is for d = 3")
+    c0, c1, c2 = vec.c
+    eqs = [
+        abs(c0) ** 2 + abs(c1) ** 2 + abs(c2) ** 2 - 3,
+        c0 * np.conj(c1) + c1 * np.conj(c2) + c2 * np.conj(c0),
+        c0 * np.conj(c2) + c1 * np.conj(c0) + c2 * np.conj(c1),
+        c0**2 * c1 + c1**2 * c2 + c2**2 * c0,
+        c0**2 * c2 + c1**2 * c0 + c2**2 * c1,
+        c1**3 - c2**3,
+    ]
+    return [abs(e) for e in eqs]
+
+
+def d4_system_residuals(vec) -> list[float]:
+    """The seven scalar equations of the reduced d = 4 constraint system."""
+    if vec.d != 4:
+        raise ValueError("reduced system is for d = 4")
+    c0, c1, c2, c3 = vec.c
+    eqs = [
+        abs(c0) ** 2 + abs(c1) ** 2 + abs(c2) ** 2 + abs(c3) ** 2 - 4,
+        c0 * np.conj(c1) + c1 * np.conj(c2) + c2 * np.conj(c3) + c3 * np.conj(c0),
+        c0 * np.conj(c2) + c1 * np.conj(c3) + c2 * np.conj(c0) + c3 * np.conj(c1),
+        c1 * (c0**2 + c2**2) + 2 * c0 * c2 * c3,
+        c3 * (c0**2 + c2**2) + 2 * c0 * c1 * c2,
+        c0 * (c1**2 + c3**2) + c0**2 * c2 - c2**3 + 2 * c1 * c2 * c3,
+        c1**2 - c3**2,
+    ]
+    return [abs(e) for e in eqs]
 
 
 def braid_generator_dense_powers(system, coefficients, i: int) -> np.ndarray:

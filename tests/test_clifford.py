@@ -14,13 +14,15 @@ from parabraid.clifford import (
     extract_pauli_monomial,
     reference_generators,
     reference_phase_gate,
+    symplectic_product,
     tableau_key,
 )
 from parabraid.encoding import braid_generator_tableaux
 from parabraid.systems import DenseOperator, QuditSystem, controlled_shift, fourier_gate, pauli_x, \
     pauli_z
 
-from oracles import closure_keys_reference, matrix_group_order, sl2_order
+from oracles import closure_keys_reference, matrix_group_order, sl2_order, symplectic_product_loop, \
+    tableau_apply_loop, tableau_compose_loop, tableau_inverse_loop
 
 
 def random_label(rng, d, n):
@@ -119,6 +121,7 @@ def test_composition_faithful_on_braid_gates():
 def test_tableau_inverse_and_identity():
     for d, n in ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2)):
         eye = CliffordTableau.identity(d, n)
+        assert not eye == None and eye != CliffordTableau.identity(d + 1, n)  # noqa: E711
         for tab in reference_generators(d, n) + braid_generator_tableaux(d, n):
             assert tab.inverse().compose(tab).key() == eye.key()
             assert tab.compose(tab.inverse()).key() == eye.key()
@@ -138,7 +141,41 @@ def test_symplectic_condition_enforced():
     x_img = PauliLabel(d, n, 0, (1,), (0,))
     bad_z = PauliLabel(d, n, 0, (2,), (0,))  # commutes with the X image
     with pytest.raises(ValueError):
-        CliffordTableau(d, n, (x_img, bad_z))
+        CliffordTableau.from_images(d, n, (x_img, bad_z))
+
+
+def test_unrealizable_images_rejected():
+    # (U X U^dag)**3 = 1 for any unitary U, but (e^(i pi/3) X)**3 = -1
+    x_img = PauliLabel(3, 1, 1, (1,), (0,))
+    z_img = PauliLabel(3, 1, 0, (0,), (1,))
+    assert (x_img ** 3).phase == 3
+    with pytest.raises(ValueError, match="d-th power is not the identity"):
+        CliffordTableau.from_images(3, 1, (x_img, z_img))
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 7) for n in (1, 2, 3)])
+def test_array_tableau_arithmetic_matches_label_oracle(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    gens = reference_generators(d, n)
+    pool = []
+    for _ in range(5):
+        tab = CliffordTableau.identity(d, n)
+        for pick in rng.integers(len(gens), size=6):
+            tab = tableau_compose_loop(gens[pick], tab)
+        pool.append(tab)
+    for a, b in zip(pool, pool[1:] + pool[:1]):
+        assert a.compose(b) == tableau_compose_loop(a, b)
+        assert a.inverse() == tableau_inverse_loop(a)
+        for _ in range(4):
+            label = random_label(rng, d, n)
+            assert a.apply(label) == tableau_apply_loop(a, label)
+    u = rng.integers(-d, 2 * d, size=(6, 2 * n))
+    v = rng.integers(-d, 2 * d, size=(5, 2 * n))
+    pairs = symplectic_product(u, v, d)
+    assert pairs.tolist() == [[symplectic_product_loop(a, b, d) for b in v.tolist()] for a in u.tolist()]
+    assert symplectic_product(u[0], v, d).tolist() == pairs[0].tolist()
+    assert symplectic_product(u, v[1], d).tolist() == pairs[:, 1].tolist()
+    assert int(symplectic_product(u[2], v[3], d)) == pairs[2, 3]
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
@@ -233,7 +270,7 @@ def test_tableau_key_stability():
 @pytest.mark.parametrize("kind,d,n", [("reference", d, 1) for d in (2, 3, 4, 5)]
                          + [("braid", d, 1) for d in (2, 3, 4, 5)] + [("braid", 2, 2)])
 def test_closure_keys_match_python_bfs(kind, d, n):
-    # key for key against a set-based search through CliffordTableau.compose
+    # key for key against a set-based search in label arithmetic
     gens = reference_generators(d, n) if kind == "reference" else braid_generator_tableaux(d, n)
     result = closure(gens)
     assert result.keys.dtype == np.int64
@@ -251,7 +288,7 @@ def test_gen_tables_match_apply(d, n):
         assert vec_map.size == phase_add.size == d ** (2 * n)
         for idx in range(d ** (2 * n)):
             vec = [(idx // d ** i) % d for i in range(2 * n)]
-            image = tab.apply(PauliLabel(d, n, 0, tuple(vec[:n]), tuple(vec[n:])))
+            image = tableau_apply_loop(tab, PauliLabel(d, n, 0, tuple(vec[:n]), tuple(vec[n:])))
             assert vec_map[idx] == sum(v * d ** i for i, v in enumerate(image.vector()))
             assert phase_add[idx] == image.phase
 
@@ -272,7 +309,7 @@ def test_gen_tables_need_no_packed_keys():
         assert vec_map.size == phase_add.size == 3 ** 6
         for idx in (1, 100, 728):
             vec = [(idx // 3 ** i) % 3 for i in range(6)]
-            image = tab.apply(PauliLabel(3, 3, 0, tuple(vec[:3]), tuple(vec[3:])))
+            image = tableau_apply_loop(tab, PauliLabel(3, 3, 0, tuple(vec[:3]), tuple(vec[3:])))
             assert vec_map[idx] == sum(v * 3 ** i for i, v in enumerate(image.vector()))
             assert phase_add[idx] == image.phase
     with pytest.raises(ValueError, match="overflow int64 at d = 3, n = 3"):

@@ -2,21 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import unitarity_residual_loops, yang_baxter_residual_loops
+from oracles import d3_system_residuals, d4_system_residuals, is_trivial, unitarity_residual_loops, \
+    yang_baxter_residual_loops
 from parabraid.constraints import (
     CoefficientVector,
     FZCParams,
     all_fzc_params,
     apply_symmetry,
     d3_solution_table,
-    d3_system_residuals,
     d4_family,
     d4_family_distance,
-    d4_system_residuals,
     dft_prefactor,
     fzc_coefficients,
     gauge_fix,
-    is_trivial,
     trivial_vector,
     unitarity_residual,
     unitarity_residuals,

@@ -279,6 +279,15 @@ def test_braid_generator_keys_pinned():
         "fa62ea30ba8166895041d96b87b63ac6e8a3426e067050296f4d2e1513e9409b")
 
 
+def test_large_n_generator_keys_pinned():
+    # keys of generator sets on up to 16 encoded qudits, as computed by the
+    # PauliLabel-loop tableau arithmetic the integer-array rows replaced
+    keys = [((d, n), [t.key() for t in braid_generator_tableaux(d, n)])
+            for d, n in [(2, 8), (3, 8), (4, 8), (5, 6), (3, 16)]]
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == (
+        "5dfcf22f25998832c6246452ce55c86040a47485a1b5267d8fbf135feb0f12e0")
+
+
 def test_exact_restriction_rejects_leaking_word():
     system = build_parafermions(3, 4)
     physical = braid_tableau(system, FZCParams(3, 0), BraidWord.from_text("4"))

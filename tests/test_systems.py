@@ -17,7 +17,7 @@ from parabraid.systems import (
     pauli_z,
 )
 
-from oracles import pauli_monomial_kron
+from oracles import is_unitary, pauli_monomial_kron
 
 
 def test_qubit_matrices():
@@ -94,7 +94,7 @@ def test_controlled_gates():
     d = 3
     cx = controlled_shift(d)
     cz = controlled_phase(d)
-    assert cx.is_unitary(1e-13)
+    assert is_unitary(cx, 1e-13)
     s = QuditSystem(d, 2)
     for i in range(d):
         for j in range(d):
