@@ -30,8 +30,7 @@ import numpy as np
 
 from .constraints import CoefficientVector, FZCParams, fzc_coefficients, unitarity_residual
 from .clifford import CliffordTableau, _times_power, symplectic_product
-from .parafermions import ParafermionSystem, build_parafermions, overall_parity, parity_eigenbasis, \
-    parity_label
+from .parafermions import ParafermionSystem, build_parafermions, parity_eigenbasis, parity_label
 from .phases import CyclotomicPhase, phase_from_complex
 from .systems import DenseOperator, embed_vector, equal_up_to_phase
 
@@ -262,13 +261,12 @@ def check_representation(rep: BraidRepresentation) -> RepresentationReport:
                 far = max(far, float(np.max(np.abs(ua @ ub - ub @ ua))))
             else:
                 yb = max(yb, float(np.max(np.abs(ua @ ub @ ua - ub @ ua @ ub))))
-    gammas = [rep.system.gamma(j) for j in range(1, rep.system.n_modes + 1)]
     locality = 0.0
     for i, u in enumerate(gens, start=1):
-        for j, gamma in enumerate(gammas, start=1):
+        for j, gamma in enumerate(rep.system.dense_gammas, start=1):
             if j not in (i, i + 1):
                 locality = max(locality, u.commutator_norm(gamma))
-    total = overall_parity(rep.system)
+    total = rep.system.dense_overall_parity
     par = max(u.commutator_norm(total) for u in gens)
     return RepresentationReport(unit, far, yb, locality, par)
 

@@ -228,6 +228,7 @@ def cmd_clifford(d: int, n: int, generators: str, limit: int) -> tuple[RunReport
         "matched_reference": matched,
         "elapsed_ms": result.elapsed_ms,
         "level_sizes": list(result.level_sizes),
+        "candidate_sizes": list(result.candidate_sizes),
     })
     out.extra = {"order": result.order, "symplectic_order": sym_order}
     out.wall_time_ms = (time.perf_counter() - t0) * 1000

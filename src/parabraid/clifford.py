@@ -382,6 +382,33 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+def _products(tables: list[list[np.ndarray]], frontier: np.ndarray, col_space: int) -> np.ndarray:
+    """Packed keys of every working generator times every frontier element, one block
+    per generator."""
+    columns, rest = [], frontier
+    for _ in tables[0]:
+        rest, code = np.divmod(rest, col_space)
+        columns.append(code)
+    size = frontier.size
+    out = np.empty(len(tables) * size, dtype=np.int64)
+    term = np.empty(size, dtype=np.int64)
+    for k, (first, *others) in enumerate(tables):
+        block = out[k * size:(k + 1) * size]
+        first.take(columns[0], out=block)
+        for table, column in zip(others, columns[1:]):
+            block += table.take(column, out=term)
+    return out
+
+
+def _new_elements(candidates: np.ndarray, previous: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Sorted distinct candidates found in neither of two sorted levels."""
+    known = np.concatenate([previous, current])
+    pos = np.minimum(candidates.searchsorted(known), candidates.size - 1)
+    fresh = np.ones(candidates.size, dtype=bool)
+    fresh[pos[candidates[pos] == known]] = False
+    return candidates[fresh]
+
+
 @dataclass
 class ClosureResult:
     d: int
@@ -391,6 +418,7 @@ class ClosureResult:
     levels: int
     elapsed_ms: float
     level_sizes: tuple[int, ...] = ()  # new elements per BFS level; the last is 0
+    candidate_sizes: tuple[int, ...] = ()  # distinct candidates per BFS level
 
     def contains(self, tab: CliffordTableau) -> bool:
         key = tableau_key(tab)
@@ -420,16 +448,20 @@ def closure(generators: list[CliffordTableau], limit: int = DEFAULT_CLOSURE_LIMI
     """Breadth-first closure of a tableau set under composition.
 
     In a finite group the semigroup generated by a set equals the group, so
-    one-sided products with the generators suffice; inverses of the
-    generators are still included to shorten the frontier depth.  Elements
-    are deduplicated on packed integer keys; the resulting sorted key array
-    is deterministic and independent of generator order.
+    one-sided products with the generators suffice.  The inverses of the
+    generators are added to the working set all the same: with them the
+    Cayley graph is undirected, so a neighbour of a level-k element lies in
+    level k - 1, k or k + 1, and the new elements of a level are its sorted
+    distinct candidates minus those found in the previous and current
+    levels.  No visited set is kept; the sorted key array, one sort of all
+    levels at the end, is deterministic and independent of generator order.
 
-    Each level splits the frontier keys into their 2n column codes once;
-    composing with a generator is then a table lookup per column and one
-    repacking product.  Deduplication is sort-based: sorted distinct
-    candidates, a binary search into the sorted visited set, and a stable
-    sort that merges the two sorted runs.
+    A composition maps each of a key's 2n column codes on its own, so each
+    generator has one table per column over all column codes, holding the
+    image code already times that column's weight: a level splits the
+    frontier into its 2n column codes once, and a candidate key is then 2n
+    lookups and 2n - 1 additions.  A sum of weighted codes is a packed key,
+    which check_key_width bounds.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -440,29 +472,35 @@ def closure(generators: list[CliffordTableau], limit: int = DEFAULT_CLOSURE_LIMI
 
     start = time.perf_counter()
     work = list(generators) + [g.inverse() for g in generators]
-    tables = [_gen_tables(g) for g in work]
     _, phase_space, col_space = _pack_params(d, n)
-    two_d = 2 * d
-    weights = col_space ** np.arange(2 * n, dtype=np.int64)
+    idx, phase = np.divmod(np.arange(col_space, dtype=np.int64), phase_space)
+    tables = []
+    for g in work:
+        vec_map, phase_add = _gen_tables(g)
+        image = vec_map[idx] * phase_space + (phase + phase_add[idx]) % (2 * d)
+        tables.append([image * col_space**c for c in range(2 * n)])
 
-    visited = np.array([tableau_key(CliffordTableau.identity(d, n))], dtype=np.int64)
-    frontier = visited
-    level_sizes = []
-    while frontier.size:
-        idx, phase = np.divmod((frontier[:, None] // weights) % col_space, phase_space)
-        candidates = _sorted_unique(np.concatenate(
-            [(vm[idx] * phase_space + (phase + pa[idx]) % two_d) @ weights for vm, pa in tables]
-        ))
-        pos = np.minimum(np.searchsorted(visited, candidates), visited.size - 1)
-        new = candidates[visited[pos] != candidates]
+    previous = np.zeros(0, dtype=np.int64)
+    frontier = np.array([tableau_key(CliffordTableau.identity(d, n))], dtype=np.int64)
+    levels = [frontier]
+    total = 1
+    level_sizes, candidate_sizes = [], []
+    # the helpers drop their scratch on return, so a level's temporaries are
+    # freed before the next level's products are built
+    while True:
+        candidates = _sorted_unique(_products(tables, frontier, col_space))
+        new = _new_elements(candidates, previous, frontier)
+        candidate_sizes.append(int(candidates.size))
         level_sizes.append(int(new.size))
         if new.size == 0:
             break
-        visited = np.concatenate([visited, new])
-        visited.sort(kind="stable")  # merges two sorted runs in linear time
-        if visited.size > limit:
-            raise ClosureLimitError(limit, visited.size)
-        frontier = new
+        total += new.size
+        if total > limit:
+            raise ClosureLimitError(limit, total)
+        levels.append(new)
+        previous, frontier = frontier, new
+    keys = np.concatenate(levels)
+    keys.sort()
     elapsed = (time.perf_counter() - start) * 1000.0
-    return ClosureResult(d, n, int(visited.size), visited, len(level_sizes), elapsed,
-                         tuple(level_sizes))
+    return ClosureResult(d, n, total, keys, len(level_sizes), elapsed,
+                         tuple(level_sizes), tuple(candidate_sizes))

@@ -93,20 +93,12 @@ def build_encoding(d: int, n_logical: int, r: int = 0, sign: int = +1) -> Encodi
     return enc
 
 
-def code_layout(system: ParafermionSystem) -> list[tuple[PauliLabel, PauliLabel, PauliLabel]]:
-    """(Z_L, X_L, stabilizer) of each logical qudit, one per parafermion quadruplet."""
-    if system.n_modes % 4:
-        raise ValueError(f"logical qudits need whole quadruplets, got {system.n_modes} parafermions")
-    lam = system.parities  # lam[i] is Lambda_(i+1)
-    return [(lam[i], lam[i + 1], lam[i] * lam[i + 2]) for i in range(0, system.n_modes - 1, 4)]
-
-
 def _validate_encoding(enc: Encoding) -> None:
     e = enc.isometry
     gram_defect = float(np.max(np.abs(e.conj().T @ e - np.eye(enc.logical_dim))))
     if gram_defect > ENCODING_TOL:
         raise AssertionError(f"encoding columns not orthonormal: {gram_defect:.3e}")
-    for q, (z_l, x_l, stabilizer) in enumerate(code_layout(enc.rep.system), start=1):
+    for q, (z_l, x_l, stabilizer) in enumerate(enc.rep.system.code_layout, start=1):
         for label, make in ((z_l, pauli_z), (x_l, pauli_x)):
             target = make(enc.logical_system, q)
             restricted, leak = restrict(enc, label.to_operator())
@@ -140,12 +132,8 @@ def logical_tableau(system: ParafermionSystem, physical: CliffordTableau) -> Cli
     when an image of Z_L, X_L or S_q fails to commute with some S_q, or an
     S_q does not restrict to the identity.
     """
-    layout = code_layout(system)
-    d, m = system.d, len(layout)
-    z_l, x_l, stabilizers = zip(*layout)
-    code = x_l + z_l + stabilizers
-    code_vecs = np.array([label.vector() for label in code])
-    code_phases = np.array([label.phase for label in code])
+    d, m = system.d, len(system.code_layout)
+    code_vecs, code_phases = system.code_rows
     vecs, phases = physical.apply_rows(code_vecs, code_phases)
     products = symplectic_product(vecs, code_vecs, d).reshape(3 * m, 3, m)
     if products[:, 2].any():
@@ -283,7 +271,7 @@ def parity_conjugation_table(system: ParafermionSystem, params: FZCParams,
         image = tab.apply(parity_label(system, index))
         matched = image.vector() == target.vector()
         phases[index] = (image.phase - target.phase) % (2 * system.d) if matched else None
-    fixed = all(tab.apply(s) == s for _, _, s in code_layout(system))
+    fixed = all(tab.apply(s) == s for _, _, s in system.code_layout)
     return ParityTable(phases, fixed)
 
 

@@ -58,6 +58,42 @@ class ParafermionSystem:
                           for p in (lam ** m for m in range(self.d)))) for lam in self.parities]
         return tuple((np.array(rows), np.array(roots)) for rows, roots in supports)
 
+    @cached_property
+    def dense_gammas(self) -> tuple[DenseOperator, ...]:
+        """Dense gamma_1 .. gamma_2n, built on first use and kept with the system
+        for every braid representation checked on it."""
+        return tuple(label.to_operator() for label in self.labels)
+
+    @cached_property
+    def dense_overall_parity(self) -> DenseOperator:
+        """Dense overall parity Lambda_1 Lambda_3 ... Lambda_{2n-1}, conserved by all
+        braids; built on first use and kept likewise."""
+        out = PauliLabel.identity(self.d, self.n_pairs)
+        for lam in self.parities[::2]:
+            out = out * lam
+        return out.to_operator()
+
+    @cached_property
+    def code_layout(self) -> tuple[tuple[PauliLabel, PauliLabel, PauliLabel], ...]:
+        """(Z_L, X_L, stabilizer) of each logical qudit, one per parafermion quadruplet:
+        Lambda_(4q-3), Lambda_(4q-2) and Lambda_(4q-3) Lambda_(4q-1)."""
+        if self.n_modes % 4:
+            raise ValueError(f"logical qudits need whole quadruplets, got {self.n_modes} parafermions")
+        lam = self.parities  # lam[i] is Lambda_(i+1)
+        return tuple((lam[i], lam[i + 1], lam[i] * lam[i + 2]) for i in range(0, self.n_modes - 1, 4))
+
+    @cached_property
+    def code_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only exponent rows (x|z) and phases of every X_L, then every Z_L, then
+        every stabilizer: the code that logical_tableau restricts to."""
+        z_l, x_l, stabilizers = zip(*self.code_layout)
+        code = x_l + z_l + stabilizers
+        vecs = np.array([label.vector() for label in code])
+        phases = np.array([label.phase for label in code])
+        vecs.setflags(write=False)
+        phases.setflags(write=False)
+        return vecs, phases
+
     def gamma(self, j: int) -> DenseOperator:
         """Dense gamma_j, 1-based."""
         if not 1 <= j <= self.n_modes:
@@ -122,14 +158,6 @@ def parity(sys_: ParafermionSystem, i: int) -> DenseOperator:
 
 def all_parities(sys_: ParafermionSystem) -> tuple[DenseOperator, ...]:
     return tuple(parity(sys_, i) for i in range(1, sys_.n_modes))
-
-
-def overall_parity(sys_: ParafermionSystem) -> DenseOperator:
-    """Product Lambda_1 Lambda_3 ... Lambda_{2n-1}, conserved by all braids."""
-    out = PauliLabel.identity(sys_.d, sys_.n_pairs)
-    for i in range(1, sys_.n_modes, 2):
-        out = out * parity_label(sys_, i)
-    return out.to_operator()
 
 
 @dataclass(frozen=True)

@@ -229,14 +229,16 @@ def tableau_inverse_loop(tab):
     return CliffordTableau.from_images(d, n, images)
 
 
-def closure_keys_reference(generators: list) -> list[int]:
-    """Sorted packed keys of the group a tableau set generates.
+def closure_keys_reference(generators: list) -> tuple[list[int], list[int], list[int]]:
+    """Sorted packed keys of the group a tableau set generates, with per-level counts.
 
     Plain breadth-first search: every frontier element is composed with
     each generator and inverse in label arithmetic (`tableau_compose_loop`,
     `tableau_inverse_loop`), and `tableau_key` values are collected in a
     Python set.  None of the vectorized closure's lookup tables, array
-    deduplication or array conjugation is used.
+    deduplication or array conjugation is used.  Returns the sorted keys,
+    the new elements per level and the distinct products per level; the
+    last level finds nothing new.
     """
     from parabraid.clifford import CliffordTableau, tableau_key
 
@@ -245,17 +247,21 @@ def closure_keys_reference(generators: list) -> list[int]:
     identity = CliffordTableau.identity(first.d, first.n)
     seen = {tableau_key(identity)}
     frontier = [identity]
+    level_sizes, candidate_sizes = [], []
     while frontier:
-        fresh = []
+        fresh, products = [], set()
         for tab in frontier:
             for g in gens:
                 product = tableau_compose_loop(g, tab)
                 key = tableau_key(product)
+                products.add(key)
                 if key not in seen:
                     seen.add(key)
                     fresh.append(product)
+        level_sizes.append(len(fresh))
+        candidate_sizes.append(len(products))
         frontier = fresh
-    return sorted(seen)
+    return sorted(seen), level_sizes, candidate_sizes
 
 
 def eigenspace_scalars(op: np.ndarray, commuting: np.ndarray, d: int) -> np.ndarray:

@@ -14,8 +14,8 @@ from parabraid.braiding import (
     diagonal_phases,
 )
 from parabraid.clifford import PauliLabel, clifford_membership
-from parabraid.constraints import CoefficientVector, FZCParams, d4_family, fzc_coefficients, \
-    trivial_vector
+from parabraid.constraints import CoefficientVector, FZCParams, all_fzc_params, d4_family, \
+    fzc_coefficients, trivial_vector
 from parabraid.parafermions import build_parafermions, parity
 from parabraid.phases import CyclotomicPhase
 from parabraid.systems import DenseOperator
@@ -108,7 +108,9 @@ def test_representation_relations_trivial_and_family():
 
 
 def test_check_representation_builds_each_gamma_once(monkeypatch):
-    rep = BraidRepresentation.from_fzc(4, 3)
+    system = build_parafermions(4, 3)
+    reps = [BraidRepresentation(system, fzc_coefficients(params), fzc=params)
+            for params in all_fzc_params(4)]
     built = []
     original_to_matrix = PauliLabel.to_matrix
 
@@ -117,11 +119,13 @@ def test_check_representation_builds_each_gamma_once(monkeypatch):
         return original_to_matrix(self)
 
     monkeypatch.setattr(PauliLabel, "to_matrix", counting_to_matrix)
-    check_representation(rep)
-    # gamma_1 .. gamma_6 once per call, not once per (U_i, gamma_j) pair,
-    # and the overall parity once
-    assert [label for label in built if label in rep.system.labels] == list(rep.system.labels)
-    assert len(built) == rep.system.n_modes + 1
+    for rep in reps:
+        check_representation(rep)
+    # gamma_1 .. gamma_6 once per system, not once per representation or per
+    # (U_i, gamma_j) pair, and the overall parity once
+    assert len(reps) == 8
+    assert [label for label in built if label in system.labels] == list(system.labels)
+    assert len(built) == system.n_modes + 1
 
 
 def test_conjugation_law_majorana_case():

@@ -214,10 +214,12 @@ def test_clifford_json_interface(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     for key in ("d", "n", "generator_set", "order", "matched_reference", "elapsed_ms",
-                "level_sizes"):
+                "level_sizes", "candidate_sizes"):
         assert key in payload
     assert payload["order"] == 24 and payload["matched_reference"] is True
     assert 1 + sum(payload["level_sizes"]) == 24 and payload["level_sizes"][-1] == 0
+    assert len(payload["candidate_sizes"]) == len(payload["level_sizes"])
+    assert all(c >= s for c, s in zip(payload["candidate_sizes"], payload["level_sizes"]))
 
 
 @pytest.mark.parametrize("generators,closures", [("braid", 2), ("reference", 1)])

@@ -31,6 +31,13 @@ def random_label(rng, d, n):
                       tuple(int(v) for v in rng.integers(d, size=n)))
 
 
+def sp4_z3_generators():
+    # both Fourier gates and the controlled shift at d = 3: Sp(4, Z_3) without
+    # the Pauli translations, the closure_d3n2 benchmark group
+    gens = reference_generators(3, 2)
+    return [gens[i] for i in (1, 3, 4)]
+
+
 @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (5, 1), (3, 2), (4, 2)])
 def test_label_algebra_matches_matrices(d, n):
     rng = np.random.default_rng(d * 10 + n)
@@ -239,8 +246,13 @@ def test_closure_membership_queries():
 
 
 def test_closure_limit():
-    with pytest.raises(ClosureLimitError):
-        closure(reference_generators(3, 1), limit=10)
+    # reached counts every element up to the level that crosses the limit
+    for gens, limit, reached in ((reference_generators(3, 1), 10, 14),
+                                 (reference_generators(3, 1), 100, 122),
+                                 (sp4_z3_generators(), 1000, 1416)):
+        with pytest.raises(ClosureLimitError) as err:
+            closure(gens, limit=limit)
+        assert (err.value.limit, err.value.reached) == (limit, reached)
 
 
 def test_identified_gates_pass_membership():
@@ -267,14 +279,30 @@ def test_tableau_key_stability():
     assert tableau_key(tab) == tableau_key(clifford_membership(reference_phase_gate(3)))
 
 
+def closure_test_generators(kind, d, n):
+    if kind == "reference":
+        return reference_generators(d, n)
+    if kind == "braid":
+        return braid_generator_tableaux(d, n)
+    ref = reference_generators(d, n)
+    if kind == "single":
+        return ref[1:2]
+    # "repeated": a generator twice and the identity, which add no elements
+    return [ref[0], ref[1], ref[0], CliffordTableau.identity(d, n)]
+
+
 @pytest.mark.parametrize("kind,d,n", [("reference", d, 1) for d in (2, 3, 4, 5)]
-                         + [("braid", d, 1) for d in (2, 3, 4, 5)] + [("braid", 2, 2)])
+                         + [("braid", d, 1) for d in (2, 3, 4, 5)] + [("braid", 2, 2)]
+                         + [("single", 5, 1), ("repeated", 4, 1)])
 def test_closure_keys_match_python_bfs(kind, d, n):
-    # key for key against a set-based search in label arithmetic
-    gens = reference_generators(d, n) if kind == "reference" else braid_generator_tableaux(d, n)
+    # key for key and level for level against a set-based search in label arithmetic
+    gens = closure_test_generators(kind, d, n)
     result = closure(gens)
+    keys, level_sizes, candidate_sizes = closure_keys_reference(gens)
     assert result.keys.dtype == np.int64
-    assert result.keys.tolist() == closure_keys_reference(gens)
+    assert result.keys.tolist() == keys
+    assert result.level_sizes == tuple(level_sizes)
+    assert result.candidate_sizes == tuple(candidate_sizes)
     assert len(result.level_sizes) == result.levels
     assert 1 + sum(result.level_sizes) == result.order
     assert result.level_sizes[-1] == 0
@@ -319,10 +347,7 @@ def test_gen_tables_need_no_packed_keys():
 
 
 def test_sp4_z3_closure_keys_pinned():
-    # the closure_d3n2 benchmark group: both Fourier gates and the controlled
-    # shift at d = 3, i.e. Sp(4, Z_3) without the Pauli translations
-    gens = reference_generators(3, 2)
-    result = closure([gens[i] for i in (1, 3, 4)])
+    result = closure(sp4_z3_generators())
     assert (result.order, result.levels, result.symplectic_order()) == (51840, 17, 51840)
     assert hashlib.sha256(result.keys.tobytes()).hexdigest() == (
         "7b0c855671b868934c01face3e462a28a97402cfbbbc1afb5e9f7281fef1b19d")

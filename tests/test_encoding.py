@@ -13,7 +13,6 @@ from parabraid.encoding import (
     braid_generator_tableaux,
     build_encoding,
     certificate_r,
-    code_layout,
     controlled_shift_word,
     entangling_words,
     identify_gate,
@@ -332,9 +331,12 @@ def test_braid_generator_tableaux_build_no_dense_object(monkeypatch):
 
 
 def test_code_layout_needs_whole_quadruplets():
-    assert len(code_layout(build_parafermions(3, 4))) == 2
+    system = build_parafermions(3, 4)
+    assert len(system.code_layout) == 2
+    # labels and code rows are built once per system, for every restriction on it
+    assert system.code_layout is system.code_layout and system.code_rows is system.code_rows
     with pytest.raises(ValueError, match="quadruplets"):
-        code_layout(build_parafermions(3, 3))
+        build_parafermions(3, 3).code_layout
 
 
 def test_controlled_shift_word_needs_odd_d():

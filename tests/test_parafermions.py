@@ -6,7 +6,6 @@ from parabraid.parafermions import (
     build_parafermions,
     check_defining_relations,
     check_parity_algebra,
-    overall_parity,
     parity,
     parity_eigenbasis,
 )
@@ -39,13 +38,14 @@ def test_labels_match_jordan_wigner_oracle(d, n_pairs):
     assert sys_.n_modes == len(gammas) == 2 * n_pairs
     for j, want in enumerate(gammas, start=1):
         assert np.max(np.abs(sys_.gamma(j).mat - want)) < 1e-14
+        assert np.max(np.abs(sys_.dense_gammas[j - 1].mat - want)) < 1e-14
     total = np.eye(d ** n_pairs)
     for i in range(1, 2 * n_pairs):
         want = half * (gammas[i - 1] @ gammas[i].conj().T)
         assert np.max(np.abs(parity(sys_, i).mat - want)) < 1e-14
         if i % 2 == 1:
             total = total @ want
-    assert np.max(np.abs(overall_parity(sys_).mat - total)) < 1e-14
+    assert np.max(np.abs(sys_.dense_overall_parity.mat - total)) < 1e-14
 
 
 def test_build_makes_no_dense_products(monkeypatch):
@@ -156,7 +156,7 @@ def test_eigenbasis_full_space_action():
 
 def test_overall_parity_structure():
     sys_ = build_parafermions(3, 2)
-    total = overall_parity(sys_)
+    total = sys_.dense_overall_parity
     assert total.is_monomial(1e-12)
     assert np.max(np.abs(total.power(3).mat - np.eye(9))) < 1e-12
 
