@@ -32,7 +32,7 @@ from .constraints import CoefficientVector, FZCParams, fzc_coefficients, unitari
 from .clifford import CliffordTableau, _times_power, symplectic_product
 from .parafermions import ParafermionSystem, build_parafermions, parity_eigenbasis, parity_label
 from .phases import CyclotomicPhase, phase_from_complex
-from .systems import DenseOperator, embed_vector, equal_up_to_phase
+from .systems import DenseOperator, commutator_with_monomial, embed_vector, equal_up_to_phase
 
 COEFF_TOL = 1e-9
 BUILD_TOL = 1e-12
@@ -244,7 +244,8 @@ class RepresentationReport:
 
 
 def check_representation(rep: BraidRepresentation) -> RepresentationReport:
-    """Matrix-level residuals of the braid-group relations.
+    """Residuals of the braid-group relations among the dense U_i, and of their
+    commutation with the gamma_j and overall parity kept as phased permutations.
 
     Needs at least two parafermion pairs so adjacent generator pairs exist.
     """
@@ -261,13 +262,9 @@ def check_representation(rep: BraidRepresentation) -> RepresentationReport:
                 far = max(far, float(np.max(np.abs(ua @ ub - ub @ ua))))
             else:
                 yb = max(yb, float(np.max(np.abs(ua @ ub @ ua - ub @ ua @ ub))))
-    locality = 0.0
-    for i, u in enumerate(gens, start=1):
-        for j, gamma in enumerate(rep.system.dense_gammas, start=1):
-            if j not in (i, i + 1):
-                locality = max(locality, u.commutator_norm(gamma))
-    total = rep.system.dense_overall_parity
-    par = max(u.commutator_norm(total) for u in gens)
+    locality = max(commutator_with_monomial(u.mat, gamma) for i, u in enumerate(gens, start=1)
+                   for j, gamma in enumerate(rep.system.gamma_supports, start=1) if j not in (i, i + 1))
+    par = max(commutator_with_monomial(u.mat, rep.system.overall_parity) for u in gens)
     return RepresentationReport(unit, far, yb, locality, par)
 
 

@@ -13,19 +13,21 @@ a local monomial operator with spectrum {1, omega, .., omega**(d-1)}.
 Every gamma_j and Lambda_i is an exact PauliLabel, made dense by to_matrix.
 The build checks the defining relations exactly (a label power and a
 symplectic product), so a convention bug fails the build rather than a
-result downstream; the dense check_* functions are the independent oracles.
+result downstream.  The check_* functions are the independent oracles: they
+compose the monomial_support phased permutations by gathers, not labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .clifford import PauliLabel, symplectic_product
 from .phases import CyclotomicPhase
-from .systems import DenseOperator, QuditSystem, fourier_gate, monomial_support, pauli_monomial, pauli_z
+from .systems import (DenseOperator, QuditSystem, fourier_gate, monomial_diff, monomial_product,
+                      monomial_support, pauli_monomial, pauli_z)
 
 BUILD_TOL = 1e-12
 
@@ -59,19 +61,14 @@ class ParafermionSystem:
         return tuple((np.array(rows), np.array(roots)) for rows, roots in supports)
 
     @cached_property
-    def dense_gammas(self) -> tuple[DenseOperator, ...]:
-        """Dense gamma_1 .. gamma_2n, built on first use and kept with the system
-        for every braid representation checked on it."""
-        return tuple(label.to_operator() for label in self.labels)
+    def gamma_supports(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The monomial_support rows and roots of gamma_1 .. gamma_2n, built on first use."""
+        return tuple(monomial_support(self.system, g.x, g.z, g.phase) for g in self.labels)
 
     @cached_property
-    def dense_overall_parity(self) -> DenseOperator:
-        """Dense overall parity Lambda_1 Lambda_3 ... Lambda_{2n-1}, conserved by all
-        braids; built on first use and kept likewise."""
-        out = PauliLabel.identity(self.d, self.n_pairs)
-        for lam in self.parities[::2]:
-            out = out * lam
-        return out.to_operator()
+    def overall_parity(self) -> tuple[np.ndarray, np.ndarray]:
+        """Support of Lambda_1 Lambda_3 ... Lambda_{2n-1}, conserved by all braids, by gathers."""
+        return reduce(monomial_product, ((rows[1], roots[1]) for rows, roots in self.parity_powers[::2]))
 
     @cached_property
     def code_layout(self) -> tuple[tuple[PauliLabel, PauliLabel, PauliLabel], ...]:
@@ -125,23 +122,28 @@ def build_parafermions(d: int, n_pairs: int) -> ParafermionSystem:
     return ParafermionSystem(d, n_pairs, tuple(labels), parities)
 
 
+def _power_defect(support, d: int) -> float:
+    """max|A**d - 1|, with A**d composed by d - 1 gathers."""
+    dim = len(support[0])
+    return monomial_diff(reduce(monomial_product, [support] * d), (np.arange(dim), np.ones(dim)))
+
+
+def _exchange_defect(a, b, scale: complex = 1) -> float:
+    """max|A B - scale B A|, two gathers and one diff."""
+    return monomial_diff(monomial_product(a, b), monomial_product(b, a), scale)
+
+
 def check_defining_relations(sys_: ParafermionSystem) -> float:
     """Max residual over unitarity, gamma**d = 1 and the exchange relations."""
-    d = sys_.d
+    d, dim = sys_.d, sys_.system.dim
     omega = CyclotomicPhase.omega(d).as_complex()
-    eye = np.eye(sys_.system.dim)
-    gammas = [sys_.gamma(j) for j in range(1, sys_.n_modes + 1)]
-    worst = 0.0
-    for g in gammas:
-        worst = max(worst, g.unitarity_defect())
-        worst = max(worst, float(np.max(np.abs(g.power(d).mat - eye))))
-    for j in range(sys_.n_modes):
-        for k in range(j + 1, sys_.n_modes):
-            gj, gk = gammas[j], gammas[k]
-            lhs = gj.mat @ gk.mat
-            rhs = omega * (gk.mat @ gj.mat)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    gammas = sys_.gamma_supports
+    # a phased permutation's Gram matrix is diagonal, with the row sums of |root|**2
+    unitarity = max(float(np.max(np.abs(np.bincount(rows, np.abs(roots) ** 2, minlength=dim) - 1)))
+                    for rows, roots in gammas)
+    power = max(_power_defect(g, d) for g in gammas)
+    exchange = max(_exchange_defect(gj, gk, omega) for j, gj in enumerate(gammas) for gk in gammas[j + 1:])
+    return max(unitarity, power, exchange)
 
 
 def parity_label(sys_: ParafermionSystem, i: int) -> PauliLabel:
@@ -154,10 +156,6 @@ def parity_label(sys_: ParafermionSystem, i: int) -> PauliLabel:
 def parity(sys_: ParafermionSystem, i: int) -> DenseOperator:
     """Dense Lambda_i."""
     return parity_label(sys_, i).to_operator()
-
-
-def all_parities(sys_: ParafermionSystem) -> tuple[DenseOperator, ...]:
-    return tuple(parity(sys_, i) for i in range(1, sys_.n_modes))
 
 
 @dataclass(frozen=True)
@@ -179,20 +177,12 @@ def check_parity_algebra(sys_: ParafermionSystem) -> ParityAlgebraReport:
     """
     d = sys_.d
     omega = CyclotomicPhase.omega(d).as_complex()
-    parities = all_parities(sys_)
-    eye = np.eye(sys_.system.dim)
-    far = 0.0
-    adjacent = 0.0
-    power = 0.0
-    for li in parities:
-        power = max(power, float(np.max(np.abs(li.power(d).mat - eye))))
-    for a in range(len(parities)):
-        for b in range(a + 1, len(parities)):
-            la, lb = parities[a].mat, parities[b].mat
-            if b - a > 1:
-                far = max(far, float(np.max(np.abs(la @ lb - lb @ la))))
-            else:
-                adjacent = max(adjacent, float(np.max(np.abs(la @ lb - omega * (lb @ la)))))
+    parities = [monomial_support(sys_.system, lam.x, lam.z, lam.phase) for lam in sys_.parities]
+    far = max((_exchange_defect(la, lb) for a, la in enumerate(parities)
+               for lb in parities[a + 2:]), default=0.0)
+    adjacent = max((_exchange_defect(la, lb, omega) for la, lb in zip(parities, parities[1:])),
+                   default=0.0)
+    power = max(_power_defect(lam, d) for lam in parities)
     return ParityAlgebraReport(far, adjacent, power)
 
 

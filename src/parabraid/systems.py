@@ -122,17 +122,6 @@ class DenseOperator:
         gram = self.mat @ self.mat.conj().T
         return float(np.max(np.abs(gram - np.eye(self.dim))))
 
-    def commutator_norm(self, other: "DenseOperator") -> float:
-        return float(np.max(np.abs(self.mat @ other.mat - other.mat @ self.mat)))
-
-    def is_monomial(self, tol: float = DEFAULT_TOL) -> bool:
-        """Exactly one unit-modulus entry per row and column, zeros elsewhere."""
-        mags = np.abs(self.mat)
-        big = mags > tol
-        if not (big.sum(axis=0) == 1).all() or not (big.sum(axis=1) == 1).all():
-            return False
-        return bool(np.max(np.abs(mags[big] - 1.0)) <= tol)
-
     def __repr__(self) -> str:
         return f"DenseOperator(dim={self.dim}, d={self.d}, n={self.n})"
 
@@ -199,6 +188,27 @@ def monomial_support(system: QuditSystem, x_exps, z_exps, phase: int = 0) -> tup
         rows += (digit + a) % d * place
         exps += 2 * b * digit
     return rows, np.exp(1j * np.pi * np.arange(2 * d) / d)[exps % (2 * d)]
+
+
+def monomial_product(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, roots) of A B, for A and B given as monomial_support pairs: one gather."""
+    (rows_a, roots_a), (rows_b, roots_b) = a, b
+    return rows_a[rows_b], roots_a[rows_b] * roots_b
+
+
+def monomial_diff(a, b, scale: complex = 1) -> float:
+    """Dense max|A - scale B|: per column |e_a - scale e_b| where the rows agree, else the larger."""
+    (rows_a, roots_a), (rows_b, roots_b) = a, b
+    roots_b = scale * roots_b
+    return float(np.max(np.where(rows_a == rows_b, np.abs(roots_a - roots_b),
+                                 np.maximum(np.abs(roots_a), np.abs(roots_b)))))
+
+
+def commutator_with_monomial(mat: np.ndarray, a) -> float:
+    """max|M A - A M| for a dense M and a phased permutation A, in O(D**2): row rows[j]
+    of M A - A M holds M[rows[j], rows[k]] roots[k] - roots[j] M[j, k] at column k."""
+    rows, roots = a
+    return float(np.max(np.abs(mat.take(rows, 0).take(rows, 1) * roots - roots[:, None] * mat)))
 
 
 def pauli_monomial(system: QuditSystem, x_exps, z_exps, phase: int = 0) -> DenseOperator:

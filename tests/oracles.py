@@ -3,7 +3,7 @@
 Everything here sticks to brute force or a code path disjoint from the
 package internals it checks: matrix-level group enumeration with canonical
 phase normalization, Pauli monomials as Kronecker products of local
-factors, the Jordan-Wigner parafermions as dense string products, braid
+factors, (rows, roots) pairs scattered entry by entry, the Jordan-Wigner parafermions as dense string products, braid
 generator tableaux read off dense restricted unitaries, determinant
 counting over Z_d, a transvection sweep
 for the four-dimensional symplectic group over Z_3, tableau conjugation,
@@ -64,6 +64,21 @@ def pauli_monomial_kron(d: int, x_exps, z_exps, phase: int = 0) -> np.ndarray:
 
     locals_ = [local_pauli(a, b) for a, b in zip(x_exps, z_exps)]
     return complex(np.exp(1j * np.pi * phase / d)) * reduce(np.kron, locals_)
+
+
+def scatter_monomial(support) -> np.ndarray:
+    """The dense matrix of a (rows, roots) pair: entry roots[k] at (rows[k], k), summed on collisions."""
+    rows, roots = support
+    out = np.zeros((len(rows),) * 2, dtype=complex)
+    np.add.at(out, (rows, np.arange(len(rows))), roots)
+    return out
+
+
+def is_phased_permutation(support, tol: float = 1e-12) -> bool:
+    """Rows a permutation of 0..D-1 and every root of unit modulus."""
+    rows, roots = support
+    return bool(np.array_equal(np.sort(rows), np.arange(len(rows)))
+                and np.max(np.abs(np.abs(roots) - 1)) <= tol)
 
 
 def jordan_wigner_gammas(d: int, n_pairs: int) -> list[np.ndarray]:

@@ -16,9 +16,10 @@ from parabraid.braiding import (
 from parabraid.clifford import PauliLabel, clifford_membership
 from parabraid.constraints import CoefficientVector, FZCParams, all_fzc_params, d4_family, \
     fzc_coefficients, trivial_vector
-from parabraid.parafermions import build_parafermions, parity
+from parabraid.parafermions import (build_parafermions, check_defining_relations, check_parity_algebra,
+                                    parity)
 from parabraid.phases import CyclotomicPhase
-from parabraid.systems import DenseOperator
+from parabraid.systems import DenseOperator, commutator_with_monomial, monomial_product
 
 from oracles import braid_generator_dense_powers, eigenspace_scalars, is_unitary
 
@@ -56,10 +57,10 @@ def test_majorana_braid_operator():
 def test_generator_parity_commutation():
     rep = BraidRepresentation.from_fzc(3, 2, 0, +1)
     u1, u2 = rep.generator(1), rep.generator(2)
-    l1 = parity(rep.system, 1)
-    l3 = parity(rep.system, 3)
-    assert u1.commutator_norm(l1) < 1e-12
-    assert u2.commutator_norm(l1 @ l3) < 1e-12
+    (rows1, roots1), _, (rows3, roots3) = rep.system.parity_powers
+    l1, l3 = (rows1[1], roots1[1]), (rows3[1], roots3[1])
+    assert commutator_with_monomial(u1.mat, l1) < 1e-12
+    assert commutator_with_monomial(u2.mat, monomial_product(l1, l3)) < 1e-12
 
 
 def test_non_unitary_coefficients_rejected():
@@ -107,7 +108,7 @@ def test_representation_relations_trivial_and_family():
     assert check_representation(rep).max_residual < 1e-10
 
 
-def test_check_representation_builds_each_gamma_once(monkeypatch):
+def test_checks_build_no_dense_pauli_operators(monkeypatch):
     system = build_parafermions(4, 3)
     reps = [BraidRepresentation(system, fzc_coefficients(params), fzc=params)
             for params in all_fzc_params(4)]
@@ -121,11 +122,14 @@ def test_check_representation_builds_each_gamma_once(monkeypatch):
     monkeypatch.setattr(PauliLabel, "to_matrix", counting_to_matrix)
     for rep in reps:
         check_representation(rep)
-    # gamma_1 .. gamma_6 once per system, not once per representation or per
-    # (U_i, gamma_j) pair, and the overall parity once
+    check_defining_relations(system)
+    check_parity_algebra(system)
+    # no dense gamma_j, Lambda_i, Lambda_i**m or overall parity: all stay
+    # phased permutations
     assert len(reps) == 8
-    assert [label for label in built if label in system.labels] == list(system.labels)
-    assert len(built) == system.n_modes + 1
+    assert built == []
+    system.gamma(1)  # the counter does see a dense build
+    assert len(built) == 1
 
 
 def test_conjugation_law_majorana_case():

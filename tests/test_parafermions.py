@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from parabraid.parafermions import (
 )
 from parabraid.systems import DenseOperator, SizeBoundError, pauli_x, pauli_z
 
-from oracles import jordan_wigner_gammas
+from oracles import is_phased_permutation, jordan_wigner_gammas, scatter_monomial
 
 
 def test_majorana_pair():
@@ -22,11 +24,45 @@ def test_majorana_pair():
     assert sys_.gamma(2).power(2).max_diff(sys_.gamma(1).power(2)) < 1e-14
 
 
-@pytest.mark.parametrize("d,n_pairs", [(d, n) for d in range(2, 7) for n in range(1, 5)
+@pytest.mark.parametrize("d,n_pairs", [(d, n) for d in range(2, 8) for n in range(1, 13)
                                        if d ** n <= 4096])
 def test_defining_relations_full_table(d, n_pairs):
     sys_ = build_parafermions(d, n_pairs)
     assert check_defining_relations(sys_) < 1e-12
+
+
+def _dense_relations(gammas: list[np.ndarray], d: int) -> float:
+    """check_defining_relations on dense matrices: Gram defects, d-th powers and exchanges."""
+    omega, eye = np.exp(2j * np.pi / d), np.eye(len(gammas[0]))
+    worst = [float(np.max(np.abs(g @ g.conj().T - eye))) for g in gammas]
+    worst += [float(np.max(np.abs(np.linalg.matrix_power(g, d) - eye))) for g in gammas]
+    worst += [float(np.max(np.abs(gj @ gk - omega * gk @ gj)))
+              for j, gj in enumerate(gammas) for gk in gammas[j + 1:]]
+    return max(worst)
+
+
+def test_checks_read_tampered_systems():
+    # the gather checks read what dense products of the tampered operators read
+    sys_ = build_parafermions(3, 2)
+    raised = (dataclasses.replace(sys_.labels[0], phase=sys_.labels[0].phase + 1),) + sys_.labels[1:]
+    swapped = sys_.labels[:1] + sys_.labels[2:3] + sys_.labels[2:]  # gamma_2 replaced by gamma_3
+    for labels, want in ((raised, 2.0), (swapped, np.sqrt(3))):
+        dense = _dense_relations([label.to_matrix() for label in labels], 3)
+        assert dense == pytest.approx(want, abs=1e-12)
+        assert abs(check_defining_relations(dataclasses.replace(sys_, labels=labels)) - dense) < 1e-12
+    # gamma_1 as a phased permutation outside the Pauli group (two columns' rows
+    # exchanged), and as a monomial matrix with one row hit twice
+    rows, roots = sys_.gamma_supports[0]
+    for bad_rows in (rows[[1, 0, *range(2, 9)]], rows[[1, 1, *range(2, 9)]]):
+        tampered = dataclasses.replace(sys_)
+        tampered.__dict__["gamma_supports"] = ((bad_rows, roots),) + sys_.gamma_supports[1:]
+        dense = _dense_relations([scatter_monomial(g) for g in tampered.gamma_supports], 3)
+        assert dense >= 1 - 1e-12
+        assert abs(check_defining_relations(tampered) - dense) < 1e-12
+    lam = sys_.parities[1]
+    for bad in (dataclasses.replace(lam, phase=lam.phase + 1), sys_.parities[0]):
+        parities = sys_.parities[:1] + (bad,) + sys_.parities[2:]
+        assert check_parity_algebra(dataclasses.replace(sys_, parities=parities)).max_residual > 1e-12
 
 
 @pytest.mark.parametrize("d,n_pairs", [(d, n) for d in range(2, 7) for n in range(1, 9)
@@ -38,14 +74,14 @@ def test_labels_match_jordan_wigner_oracle(d, n_pairs):
     assert sys_.n_modes == len(gammas) == 2 * n_pairs
     for j, want in enumerate(gammas, start=1):
         assert np.max(np.abs(sys_.gamma(j).mat - want)) < 1e-14
-        assert np.max(np.abs(sys_.dense_gammas[j - 1].mat - want)) < 1e-14
+        assert np.max(np.abs(scatter_monomial(sys_.gamma_supports[j - 1]) - want)) < 1e-14
     total = np.eye(d ** n_pairs)
     for i in range(1, 2 * n_pairs):
         want = half * (gammas[i - 1] @ gammas[i].conj().T)
         assert np.max(np.abs(parity(sys_, i).mat - want)) < 1e-14
         if i % 2 == 1:
             total = total @ want
-    assert np.max(np.abs(sys_.dense_overall_parity.mat - total)) < 1e-14
+    assert np.max(np.abs(scatter_monomial(sys_.overall_parity) - total)) < 1e-14
 
 
 def test_build_makes_no_dense_products(monkeypatch):
@@ -81,10 +117,12 @@ def test_exchange_example_d3():
 
 def test_gamma_monomial_structure():
     sys_ = build_parafermions(4, 2)
-    for j in range(1, sys_.n_modes + 1):
-        assert sys_.gamma(j).is_monomial(1e-12)
-    for i in range(1, sys_.n_modes):
-        assert parity(sys_, i).is_monomial(1e-12)
+    for j, support in enumerate(sys_.gamma_supports, start=1):
+        assert is_phased_permutation(support)
+        assert np.array_equal(scatter_monomial(support), sys_.gamma(j).mat)
+    for i, (rows, roots) in enumerate(sys_.parity_powers, start=1):
+        assert is_phased_permutation((rows[1], roots[1]))
+        assert np.array_equal(scatter_monomial((rows[1], roots[1])), parity(sys_, i).mat)
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -156,9 +194,11 @@ def test_eigenbasis_full_space_action():
 
 def test_overall_parity_structure():
     sys_ = build_parafermions(3, 2)
-    total = sys_.dense_overall_parity
-    assert total.is_monomial(1e-12)
-    assert np.max(np.abs(total.power(3).mat - np.eye(9))) < 1e-12
+    assert is_phased_permutation(sys_.overall_parity)
+    total = scatter_monomial(sys_.overall_parity)
+    assert np.max(np.abs(total - parity(sys_, 1).mat @ parity(sys_, 3).mat)) < 1e-14
+    assert np.max(np.abs(np.linalg.matrix_power(total, 3) - np.eye(9))) < 1e-12
+    assert sys_.overall_parity is sys_.overall_parity  # composed once per system
 
 
 def test_index_and_bound_errors():

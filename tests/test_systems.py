@@ -7,17 +7,21 @@ from parabraid.systems import (
     DenseOperator,
     QuditSystem,
     SizeBoundError,
+    commutator_with_monomial,
     controlled_phase,
     controlled_shift,
     embed,
     equal_up_to_phase,
     fourier_gate,
+    monomial_diff,
+    monomial_product,
+    monomial_support,
     pauli_monomial,
     pauli_x,
     pauli_z,
 )
 
-from oracles import is_unitary, pauli_monomial_kron
+from oracles import is_phased_permutation, is_unitary, pauli_monomial_kron, scatter_monomial
 
 
 def test_qubit_matrices():
@@ -130,8 +134,38 @@ def test_equal_up_to_phase_recovers_phase(theta, d):
 
 def test_monomial_detection():
     s = QuditSystem(3, 1)
-    assert pauli_x(s, 1).is_monomial()
-    assert not fourier_gate(3).is_monomial()
+    support = monomial_support(s, (1,), (0,))
+    assert is_phased_permutation(support)
+    assert np.array_equal(scatter_monomial(support), pauli_x(s, 1).mat)
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+@pytest.mark.parametrize("d", range(2, 6))
+def test_monomial_helpers_match_dense(d, n):
+    # products, differences and commutators of (rows, roots) pairs against the
+    # same arithmetic on the dense matrices pauli_monomial scatters them into
+    s = QuditSystem(d, n)
+    rng = np.random.default_rng(1000 * d + n)
+    omega = np.exp(2j * np.pi / d)
+    for _ in range(6):
+        x = tuple(int(v) for v in rng.integers(0, d, n))
+        shifted = ((x[0] + 1) % d,) + x[1:]
+        la, lb_same, lb_apart = ((xs, tuple(int(v) for v in rng.integers(0, d, n)),
+                                  int(rng.integers(0, 2 * d))) for xs in (x, x, shifted))
+        a = monomial_support(s, *la)
+        dense_a = pauli_monomial(s, *la)
+        for lb, rows_agree in ((lb_same, True), (lb_apart, False)):
+            b = monomial_support(s, *lb)
+            dense_b = pauli_monomial(s, *lb)
+            assert np.array_equal(a[0], b[0]) == rows_agree  # both branches of monomial_diff
+            got = monomial_product(a, b)
+            assert is_phased_permutation(got)
+            assert np.max(np.abs(scatter_monomial(got) - dense_a.mat @ dense_b.mat)) < 1e-14
+            for scale in (1, omega, -0.5j):
+                assert abs(monomial_diff(a, b, scale) - dense_a.max_diff(dense_b * scale)) < 1e-14
+        u = np.linalg.qr(rng.normal(size=(s.dim,) * 2) + 1j * rng.normal(size=(s.dim,) * 2))[0]
+        want = float(np.max(np.abs(u @ dense_a.mat - dense_a.mat @ u)))
+        assert abs(commutator_with_monomial(u, a) - want) < 1e-13
 
 
 @pytest.mark.parametrize("n", range(1, 4))
