@@ -159,6 +159,8 @@ class BraidRepresentation:
         self.generators = tuple(
             self._build_generator(i) for i in range(1, system.n_modes)
         )
+        # Gram defect of each U_i, checked here and read by check_representation
+        self.unitarity_defects = tuple(u.unitarity_defect() for u in self.generators)
         self._validate()
 
     @classmethod
@@ -182,8 +184,7 @@ class BraidRepresentation:
         sys_ = self.system
         products = symplectic_product([lam.vector() for lam in sys_.parities],
                                       [g.vector() for g in sys_.labels], sys_.d)
-        for i, u in enumerate(self.generators, start=1):
-            defect = u.unitarity_defect()
+        for i, defect in enumerate(self.unitarity_defects, start=1):
             if defect > BUILD_TOL:
                 raise ValueError(f"U_{i} not unitary: defect {defect:.3e}")
             far = [j for j in np.flatnonzero(products[i - 1]) + 1 if j not in (i, i + 1)]
@@ -252,7 +253,7 @@ def check_representation(rep: BraidRepresentation) -> RepresentationReport:
     gens = rep.generators
     if len(gens) < 2:
         raise ValueError("need n_pairs >= 2 for the braid relation checks")
-    unit = max(u.unitarity_defect() for u in gens)
+    unit = max(rep.unitarity_defects)
     far = 0.0
     yb = 0.0
     for a in range(len(gens)):

@@ -369,6 +369,17 @@ def _gen_tables(tab: CliffordTableau) -> tuple[np.ndarray, np.ndarray]:
     return vecs @ powers, phases
 
 
+def _inverse_tables(vec_map: np.ndarray, phase_add: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """_gen_tables of a tableau's inverse, from the tableau's own tables.
+
+    If T sends label v to phase p times label vec_map[v], its inverse sends
+    vec_map[v] back to phase -p times v; vec_map is a permutation.
+    """
+    phases = np.empty_like(phase_add)
+    phases[vec_map] = -phase_add % (2 * d)
+    return np.argsort(vec_map), phases
+
+
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct entries of an integer array; sorts `keys` in place.
 
@@ -471,12 +482,12 @@ def closure(generators: list[CliffordTableau], limit: int = DEFAULT_CLOSURE_LIMI
             raise ValueError("generators act on different systems")
 
     start = time.perf_counter()
-    work = list(generators) + [g.inverse() for g in generators]
+    work = [_gen_tables(g) for g in generators]
+    work += [_inverse_tables(vec_map, phase_add, d) for vec_map, phase_add in work]
     _, phase_space, col_space = _pack_params(d, n)
     idx, phase = np.divmod(np.arange(col_space, dtype=np.int64), phase_space)
     tables = []
-    for g in work:
-        vec_map, phase_add = _gen_tables(g)
+    for vec_map, phase_add in work:
         image = vec_map[idx] * phase_space + (phase + phase_add[idx]) % (2 * d)
         tables.append([image * col_space**c for c in range(2 * n)])
 

@@ -20,7 +20,8 @@ Each restart is one Levenberg-Marquardt descent, MINPACK's lmder (More
 least_squares.  Its `status` is lmder's exit code mapped to the numbering
 of scipy.optimize.least_squares: 0 the evaluation budget ran out, 1 the
 gradient test held, 2 the residual test, 3 the step test, 4 both of the
-last two, -1 improper input.  scipy is imported on the first descent.
+last two, -1 improper input.  The first descent loads MINPACK's extension
+module from scipy/optimize/ on its own, without importing scipy.optimize.
 
 After all descents, the end points are re-checked in one pass through the
 stacked residual definitions in `constraints` (a separate code path from
@@ -29,18 +30,23 @@ and greedily clustered in max-norm: each point joins the first cluster, in
 creation order, whose representative lies within the cluster radius, with
 all distances to the representatives taken in one array operation.  One
 manifold_dimension call then gives every representative its local
-solution-manifold dimension, probing the Jacobian's null directions and
-checking all probe end points in one stacked pass.  Starts are drawn up
-front and processed in order, and cluster identity is first-come, so at
-d = 2 and 3 a fixed seed gives the same clusters, and at every d the same
-quantised report bytes.  At d = 4 the solutions form a continuum and
+solution-manifold dimension, probing the Jacobian's null directions with
+one stacked anchored Gauss-Newton descent over all probes and checking
+all probe end points in one stacked pass.  Starts are drawn up front and
+processed in order, and cluster identity is first-come, so at d = 2 and 3
+a fixed seed gives the same clusters, and at every d the same quantised
+report bytes.  At d = 4 the solutions form a continuum and
 MINPACK's iterates can depend on the process's heap layout, so the number
 of point clusters at one seed can differ between processes.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
@@ -212,19 +218,46 @@ class LeastSquaresFit(NamedTuple):
 _LMDER_STATUS = {0: -1, 1: 2, 2: 3, 3: 4, 4: 1, 5: 0}
 
 
+_MINPACK = "scipy.optimize._minpack"
+
+
+def _minpack():
+    """scipy's MINPACK extension module, loaded without the rest of scipy.optimize.
+
+    The descents need only its _lmder; importing the scipy.optimize package
+    to reach it takes about 0.4 s and 48 MB.  The extension is loaded from
+    scipy/optimize/ and registered under its own name, so a later import of
+    scipy.optimize uses the same module object.
+    """
+    module = sys.modules.get(_MINPACK)
+    if module is not None:
+        return module
+    import scipy
+
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    finder = importlib.machinery.FileFinder(
+        folder, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_MINPACK)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no MINPACK extension in {folder}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_MINPACK] = module
+    return module
+
+
 def least_squares(fun, x0: np.ndarray, jac, args: tuple = (),
                   max_nfev: int = MAX_ITERATIONS) -> LeastSquaresFit:
     """One MINPACK lmder descent on the residual `fun` with Jacobian `jac`.
 
     The tolerances are fixed at 1e-15, so a descent normally stops on the
     step or residual test; status is explained in the module docstring.
+    MINPACK's extension is loaded on the first descent (see _minpack).
     """
-    from scipy.optimize import _minpack
-
     # the call scipy.optimize.least_squares(method="lm") makes; lmder writes
     # its iterates into the array it is given, so it gets a copy of x0
-    x, info, code = _minpack._lmder(fun, jac, np.array(x0, dtype=float), args, 1, 0,
-                                    1e-15, 1e-15, 1e-15, max_nfev, 100.0, None)
+    x, info, code = _minpack()._lmder(fun, jac, np.array(x0, dtype=float), args, 1, 0,
+                                      1e-15, 1e-15, 1e-15, max_nfev, 100.0, None)
     if code not in _LMDER_STATUS:
         raise RuntimeError(f"lmder exit code {code} (a tolerance below machine precision)")
     return LeastSquaresFit(x, int(info["nfev"]), _LMDER_STATUS[code])
@@ -232,25 +265,47 @@ def least_squares(fun, x0: np.ndarray, jac, args: tuple = (),
 
 PROBE_STEP = 1e-3
 ANCHOR_WEIGHT = 1e-8
+ANCHOR_MAX_STEPS = 200
+ANCHOR_STEP_TOL = 1e-10
 
 
-def _anchored_fit(target: np.ndarray, residual, jacobian) -> np.ndarray:
-    """End point of a descent on the constraints plus sqrt(ANCHOR_WEIGHT) * (y - target).
+def _stacked_residual_jacobian(ys: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Residual rows [P, R] and Jacobians [P, R, 2d] at each row of ys, from the same
+    gathers and coefficient tables as the one-point kernels."""
+    t = _tables(d)
+    v = np.concatenate([ys, np.ones((len(ys), 1))], axis=1)
+    r0, r1, r2 = t.res_gather
+    j0, j1 = t.jac_gather
+    f = (v[:, r0] * v[:, r1] * v[:, r2]) @ t.res_coef.T
+    jac = ((v[:, j0] * v[:, j1]) @ t.jac_coef.T).reshape(len(ys), -1, 2 * d)
+    return f, jac
+
+
+def _anchored_descent(targets: np.ndarray, d: int) -> np.ndarray:
+    """Minimisers of |f(y)|**2 + ANCHOR_WEIGHT |y - t|**2, one per row t of targets.
 
     The anchor gives a unique nondegenerate minimum near the target even
     where the solution set is flat, so the iteration cannot slide along a
-    solution valley the way an unanchored descent does.
+    solution valley the way an unanchored descent does.  All rows descend
+    together by Gauss-Newton, each step solving the batched normal equations
+    (J^T J + eps I) s = J^T f + eps (y - t); a row whose step is below
+    ANCHOR_STEP_TOL in max-norm leaves the batch, and no row takes more than
+    ANCHOR_MAX_STEPS steps.
     """
-    root = math.sqrt(ANCHOR_WEIGHT)
-    anchor = root * np.eye(target.size)
-
-    def fun(y: np.ndarray) -> np.ndarray:
-        return np.concatenate([residual(y), root * (y - target)])
-
-    def jac(y: np.ndarray) -> np.ndarray:
-        return np.concatenate([jacobian(y), anchor])
-
-    return least_squares(fun, target, jac, max_nfev=200).x
+    ys = np.array(targets, dtype=float)
+    damping = ANCHOR_WEIGHT * np.eye(2 * d)
+    active = np.arange(len(ys))
+    for _ in range(ANCHOR_MAX_STEPS):
+        if not active.size:
+            break
+        y = ys[active]
+        f, jac = _stacked_residual_jacobian(y, d)
+        jac_t = jac.transpose(0, 2, 1)
+        rhs = jac_t @ f[..., None] + ANCHOR_WEIGHT * (y - targets[active])[..., None]
+        step = np.linalg.solve(jac_t @ jac + damping, rhs)[..., 0]
+        ys[active] = y - step
+        active = active[np.max(np.abs(step), axis=1) > ANCHOR_STEP_TOL]
+    return ys
 
 
 def manifold_dimension(vecs: Sequence[CoefficientVector], tol: float = DEFAULT_TOL) -> list[int]:
@@ -263,8 +318,9 @@ def manifold_dimension(vecs: Sequence[CoefficientVector], tol: float = DEFAULT_T
     descent, and keep the displacement if the end point is a solution to
     tol.  The dimension is the rank of the kept displacements, so the
     spurious rank drops at isolated degenerate points of the constraint
-    variety (the d = 4 family has four) do not count.  The inputs, and the
-    probe end points of all of them, are each checked in one stacked pass.
+    variety (the d = 4 family has four) do not count.  The Jacobians of all
+    inputs are decomposed in one batched SVD, the probes of all of them
+    descend as one stack, and their end points are checked in one pass.
     Raises if some input does not satisfy the constraints to tol.
     """
     if not vecs:
@@ -273,35 +329,42 @@ def manifold_dimension(vecs: Sequence[CoefficientVector], tol: float = DEFAULT_T
     cs = np.array([vec.c for vec in vecs])
     if np.any(combined_residuals(cs) > tol):
         raise ValueError("manifold dimension is only defined at a solution")
-    residual, jacobian = _kernels(d)
     us = _split(cs)
-    # phase direction of each input (made unit where probed); probes as (input, end point)
+    _, singulars, v_rows = np.linalg.svd(_stacked_residual_jacobian(us, d)[1])
+    null_masks = singulars < math.sqrt(tol)
+    nulls = np.sum(null_masks, axis=1)
     phase_dirs = np.concatenate([-cs.imag, cs.real], axis=1)
-    owners, ends = [], []
-    for k, (u, phase_dir) in enumerate(zip(us, phase_dirs)):
-        _, singulars, v_rows = np.linalg.svd(jacobian(u))
-        null_mask = singulars < math.sqrt(tol)
-        if int(np.sum(null_mask)) <= 1:
-            continue
-        # orthonormal null basis with the phase direction removed
-        phase_dir /= np.linalg.norm(phase_dir)  # sum |c_m|**2 = d at a solution
-        basis = v_rows[null_mask]
-        basis = basis - np.outer(basis @ phase_dir, phase_dir)
-        q, r = np.linalg.qr(basis.T)
-        for w in q[:, np.abs(np.diag(r)) > 1e-8].T:
-            for sign in (+1.0, -1.0):
-                owners.append(k)
-                ends.append(_anchored_fit(u + sign * PROBE_STEP * w, residual, jacobian))
+    phase_dirs /= np.linalg.norm(phase_dirs, axis=1, keepdims=True)  # sum |c_m|**2 = d
+    # an orthonormal null basis less the phase direction, one QR for all
+    # inputs with the same null count; probes as (input, direction)
+    owners, dirs = [], []
+    for m in np.unique(nulls[nulls > 1]):
+        ks = np.flatnonzero(nulls == m)
+        basis = v_rows[ks][null_masks[ks]].reshape(len(ks), m, 2 * d)
+        basis = basis - (basis @ phase_dirs[ks, :, None]) * phase_dirs[ks, None, :]
+        q, r = np.linalg.qr(basis.transpose(0, 2, 1))
+        rows, cols = np.nonzero(np.abs(np.diagonal(r, axis1=1, axis2=2)) > 1e-8)
+        owners.append(ks[rows])
+        dirs.append(q[rows, :, cols])
+    if not owners:
+        return [0] * len(vecs)
+    owners = np.concatenate(owners * 2)
+    steps = PROBE_STEP * np.concatenate(dirs)
+    ends = _anchored_descent(us[owners] + np.concatenate([steps, -steps]), d)
 
-    displacements: list[list[np.ndarray]] = [[] for _ in vecs]
-    solved = combined_residuals(_join(np.reshape(ends, (-1, 2 * d)))) <= tol
-    for k, end, ok in zip(owners, ends, solved):
-        delta = (end - us[k]) / PROBE_STEP
-        delta = delta - (delta @ phase_dirs[k]) * phase_dirs[k]
-        if ok and np.linalg.norm(delta) >= 0.5:
-            displacements[k].append(delta)
-    return [int(np.sum(np.linalg.svd(np.array(ds), compute_uv=False) >= 0.5)) if ds else 0
-            for ds in displacements]
+    deltas = (ends - us[owners]) / PROBE_STEP
+    deltas -= np.sum(deltas * phase_dirs[owners], axis=1, keepdims=True) * phase_dirs[owners]
+    kept = (combined_residuals(_join(ends)) <= tol) & (np.linalg.norm(deltas, axis=1) >= 0.5)
+    # the rank of each input's kept displacements, one SVD for all inputs
+    # that kept the same number
+    order = np.argsort(owners[kept], kind="stable")
+    kept_owners, kept_deltas = owners[kept][order], deltas[kept][order]
+    counts = np.bincount(kept_owners, minlength=len(vecs))
+    dims = np.zeros(len(vecs), dtype=int)
+    for m in np.unique(counts[counts > 0]):
+        stack = kept_deltas[counts[kept_owners] == m].reshape(-1, m, 2 * d)
+        dims[counts == m] = np.sum(np.linalg.svd(stack, compute_uv=False) >= 0.5, axis=1)
+    return dims.tolist()
 
 
 @dataclass

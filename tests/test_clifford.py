@@ -7,6 +7,7 @@ from parabraid.clifford import (
     CliffordTableau,
     ClosureLimitError,
     _gen_tables,
+    _inverse_tables,
     PauliLabel,
     check_key_width,
     clifford_membership,
@@ -319,6 +320,16 @@ def test_gen_tables_match_apply(d, n):
             image = tableau_apply_loop(tab, PauliLabel(d, n, 0, tuple(vec[:n]), tuple(vec[n:])))
             assert vec_map[idx] == sum(v * d ** i for i, v in enumerate(image.vector()))
             assert phase_add[idx] == image.phase
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for n in (1, 2) for d in range(2, 8)])
+def test_inverse_tables_match_inverse_tableau(d, n):
+    # closure builds each inverse's tables from the generator's own tables
+    for tab in reference_generators(d, n) + braid_generator_tableaux(d, n):
+        vec_map, phase_add = _inverse_tables(*_gen_tables(tab), d)
+        expected_map, expected_phase = _gen_tables(tab.inverse())
+        assert np.array_equal(vec_map, expected_map)
+        assert np.array_equal(phase_add, expected_phase)
 
 
 def test_reference_generator_keys_pinned():

@@ -23,9 +23,8 @@ from parabraid.constraints import (
 from parabraid.solver import (
     MAX_ITERATIONS,
     SolverConfig,
-    _anchored_fit,
+    _anchored_descent,
     _join,
-    _kernels,
     _random_starts,
     _split,
     combined_residuals,
@@ -115,9 +114,9 @@ def test_least_squares_raises_on_lmder_codes_without_a_status(monkeypatch):
         least_squares(residual_stack, np.zeros(4), residual_jacobian, (2,))
 
 
-def test_least_squares_and_anchored_fit_leave_their_start_alone():
+def test_least_squares_and_anchored_descent_leave_their_start_alone():
     # lmder writes its iterates into the array it is given; the start must
-    # survive, and the anchored objective reads its target on every call
+    # survive, and the anchored objective reads its targets on every step
     d = 3
     x0 = _split(_random_starts(SolverConfig(d, 1, seed=5))[0])
     saved = x0.copy()
@@ -126,10 +125,10 @@ def test_least_squares_and_anchored_fit_leave_their_start_alone():
     assert fit.x is not x0 and not np.array_equal(fit.x, x0)
 
     u = _split(fzc_coefficients(FZCParams(d, 1, +1)).c)
-    target = u + 1e-3
-    saved = target.copy()
-    assert combined_residuals(_join(_anchored_fit(target, *_kernels(d)))) <= 1e-9
-    assert np.array_equal(target, saved)
+    targets = np.array([u + 1e-3, u - 1e-3])
+    saved = targets.copy()
+    assert np.all(combined_residuals(_join(_anchored_descent(targets, d))) <= 1e-9)
+    assert np.array_equal(targets, saved)
 
 
 def test_solve_all_discards_rows_that_fail_the_residual_check(monkeypatch):
@@ -207,11 +206,8 @@ def test_manifold_dimension_rejects_non_solutions():
 
 def test_manifold_dimension_discards_probes_off_the_solution_set(monkeypatch):
     # a probe whose descent ends off the solution set counts for nothing:
-    # with every anchored descent stopped at its start, no direction survives
-    def stay(fun, x0, jac, args=(), max_nfev=MAX_ITERATIONS):
-        return solver.LeastSquaresFit(x0.copy(), 1, 0)
-
-    monkeypatch.setattr(solver, "least_squares", stay)
+    # with the stacked descent stopped at its starts, no direction survives
+    monkeypatch.setattr(solver, "_anchored_descent", lambda targets, d: targets.copy())
     assert manifold_dimension([d4_family(1.3, +1), d4_family(0.0, -1)]) == [0, 0]
 
 
@@ -231,6 +227,17 @@ def test_manifold_dimension_matches_loop_on_clusters(d):
         expected = [manifold_dimension_loop(vec) for vec in reps]
         assert [cluster.manifold_dim for cluster in result.clusters] == expected
         assert manifold_dimension(reps) == expected
+
+
+def test_manifold_dimension_matches_lmder_oracle_on_a_d4_cluster_set():
+    # the stacked Gauss-Newton probes against the per-probe lmder descents
+    # of the oracle, on every cluster of one 200-restart d = 4 solve
+    result = solve_all(SolverConfig(4, restarts=200, seed=12345))
+    reps = [cluster.representative for cluster in result.clusters]
+    assert len(reps) > 50
+    expected = [manifold_dimension_loop(vec) for vec in reps]
+    assert manifold_dimension(reps) == expected
+    assert [cluster.manifold_dim for cluster in result.clusters] == expected
 
 
 def test_manifold_dimension_matches_loop_on_family_points():
@@ -338,27 +345,80 @@ def test_solver_report_interface():
         assert set(cluster["c"]) == {"d", "re", "im"}
 
 
-def test_scipy_imported_on_first_solve():
-    # only the solver needs scipy, so loading the package and the command
-    # line does not pay for scipy.optimize
-    script = (
-        "import sys, parabraid, parabraid.cli\n"
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported at load'\n"
-        "from parabraid.solver import SolverConfig, solve_all\n"
-        "solve_all(SolverConfig(2, restarts=2, seed=1))\n"
-        "assert 'scipy.optimize' in sys.modules\n"
-    )
+def _run_script(script):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
+def test_scipy_imported_on_first_solve():
+    # only the descents need scipy, and of it only MINPACK's extension:
+    # neither loading the package nor solving imports scipy.optimize
+    _run_script(
+        "import sys, parabraid, parabraid.cli\n"
+        "assert 'scipy.optimize._minpack' not in sys.modules, 'MINPACK loaded at import'\n"
+        "from parabraid.solver import SolverConfig, solve_all\n"
+        "solve_all(SolverConfig(2, restarts=2, seed=1))\n"
+        "assert 'scipy.optimize._minpack' in sys.modules\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported by a solve'\n"
+    )
+
+
+def test_scipy_optimize_imported_after_a_solve_shares_minpack():
+    # scipy.optimize imported after the solver loaded MINPACK uses the same
+    # module: its least_squares(method="lm") gives the same descents, and a
+    # patch of _lmder reaches solver.least_squares
+    _run_script(
+        "import sys\n"
+        "import numpy as np\n"
+        "from parabraid import solver\n"
+        "from parabraid.solver import SolverConfig, solve_all\n"
+        "solve_all(SolverConfig(2, restarts=2, seed=1))\n"
+        "minpack = sys.modules['scipy.optimize._minpack']\n"
+        "from scipy.optimize import _minpack, _minpack_py, least_squares\n"
+        "lsq_module = sys.modules['scipy.optimize._lsq.least_squares']\n"
+        "assert _minpack is minpack and _minpack_py._minpack is minpack\n"
+        "assert lsq_module._minpack is minpack\n"
+        "d = 2\n"
+        "for start in solver._random_starts(SolverConfig(d, 40, seed=3)):\n"
+        "    u = solver._split(start)\n"
+        "    fit = solver.least_squares(solver.residual_stack, u, solver.residual_jacobian, (d,))\n"
+        "    ref = least_squares(solver.residual_stack, u, jac=solver.residual_jacobian,\n"
+        "                        args=(d,), method='lm', max_nfev=solver.MAX_ITERATIONS,\n"
+        "                        xtol=1e-15, ftol=1e-15, gtol=1e-15)\n"
+        "    assert np.array_equal(fit.x, ref.x)\n"
+        "    assert (fit.nfev, fit.status) == (ref.nfev, ref.status)\n"
+        "_minpack._lmder = lambda *args: (np.zeros(4), {'nfev': 3}, 7)\n"
+        "try:\n"
+        "    solver.least_squares(solver.residual_stack, np.zeros(4), solver.residual_jacobian, (2,))\n"
+        "except RuntimeError as err:\n"
+        "    assert 'exit code 7' in str(err)\n"
+        "else:\n"
+        "    raise AssertionError('lmder exit code 7 was not raised')\n"
+    )
+
+
+def test_missing_minpack_extension_raises_naming_the_scipy_version(tmp_path):
+    # no other import path: a scipy without the extension is an ImportError
+    _run_script(
+        "import scipy\n"
+        f"scipy.__file__ = {str(tmp_path / '__init__.py')!r}\n"
+        "from parabraid import solver\n"
+        "try:\n"
+        "    solver._minpack()\n"
+        "except ImportError as err:\n"
+        "    assert f'scipy {scipy.__version__}' in str(err), err\n"
+        "else:\n"
+        "    raise AssertionError('no ImportError without the extension')\n"
+    )
+
+
 def test_solver_tables_lazy_and_read_only():
     # nothing is built at import (perfbench's setup_s); the per-d tables of
     # the solver and of the residuals are shared by every caller, so none of
     # them may be writable
-    script = (
+    _run_script(
         "import numpy as np, parabraid\n"
         "from parabraid import solver\n"
         "assert solver._tables.cache_info().currsize == 0, 'tables built at import'\n"
@@ -370,7 +430,3 @@ def test_solver_tables_lazy_and_read_only():
         "solver.combined_residuals(np.ones((2, 3)))\n"
         "assert all(not table.flags.writeable for table in constraints._residual_tables(3))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
