@@ -95,13 +95,12 @@ def cmd_fzc(d: int) -> RunReport:
 
     matrix_res = parity_res = conj_res = dft_res = 0.0
     conj_bad = dft_bad = 0
-    n_pairs_list = [2] + ([3] if d <= 4 else [])
-    for n_pairs in n_pairs_list:
+    for n_pairs in (2, 3):
         system = build_parafermions(d, n_pairs)
         for params in all_fzc_params(d):
             b = BraidRepresentation(system, fzc_coefficients(params), fzc=params)
             rpt = check_representation(b)
-            matrix_res = max(matrix_res, rpt.unitarity, rpt.far_commutativity, rpt.yang_baxter)
+            matrix_res = max(matrix_res, rpt.unitarity, rpt.yang_baxter)
             parity_res = max(parity_res, rpt.overall_parity)
             if n_pairs != 2 or params.sign != +1:
                 continue

@@ -66,11 +66,6 @@ class ParafermionSystem:
         return tuple(monomial_support(self.system, g.x, g.z, g.phase) for g in self.labels)
 
     @cached_property
-    def overall_parity(self) -> tuple[np.ndarray, np.ndarray]:
-        """Support of Lambda_1 Lambda_3 ... Lambda_{2n-1}, conserved by all braids, by gathers."""
-        return reduce(monomial_product, ((rows[1], roots[1]) for rows, roots in self.parity_powers[::2]))
-
-    @cached_property
     def code_layout(self) -> tuple[tuple[PauliLabel, PauliLabel, PauliLabel], ...]:
         """(Z_L, X_L, stabilizer) of each logical qudit, one per parafermion quadruplet:
         Lambda_(4q-3), Lambda_(4q-2) and Lambda_(4q-3) Lambda_(4q-1)."""

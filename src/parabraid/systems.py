@@ -118,10 +118,6 @@ class DenseOperator:
     def max_diff(self, other: "DenseOperator") -> float:
         return float(np.max(np.abs(self.mat - other.mat)))
 
-    def unitarity_defect(self) -> float:
-        gram = self.mat @ self.mat.conj().T
-        return float(np.max(np.abs(gram - np.eye(self.dim))))
-
     def __repr__(self) -> str:
         return f"DenseOperator(dim={self.dim}, d={self.d}, n={self.n})"
 
@@ -202,13 +198,6 @@ def monomial_diff(a, b, scale: complex = 1) -> float:
     roots_b = scale * roots_b
     return float(np.max(np.where(rows_a == rows_b, np.abs(roots_a - roots_b),
                                  np.maximum(np.abs(roots_a), np.abs(roots_b)))))
-
-
-def commutator_with_monomial(mat: np.ndarray, a) -> float:
-    """max|M A - A M| for a dense M and a phased permutation A, in O(D**2): row rows[j]
-    of M A - A M holds M[rows[j], rows[k]] roots[k] - roots[j] M[j, k] at column k."""
-    rows, roots = a
-    return float(np.max(np.abs(mat.take(rows, 0).take(rows, 1) * roots - roots[:, None] * mat)))
 
 
 def pauli_monomial(system: QuditSystem, x_exps, z_exps, phase: int = 0) -> DenseOperator:

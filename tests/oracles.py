@@ -11,7 +11,8 @@ composition and inversion in PauliLabel arithmetic one label at a time,
 tableau group closure one composition at a time, the two constraint
 residuals, the reduced d = 3 and d = 4 systems and the solver residual and
 Jacobian entry by entry, the solver's manifold probes one vector at a
-time, and braid generators summed from dense parity powers.
+time, braid generators summed from dense parity powers, and the braid
+relations on those dense generators.
 """
 
 from __future__ import annotations
@@ -443,8 +444,13 @@ def manifold_dimension_loop(vec, tol: float = 1e-9) -> int:
     return int(np.sum(spectrum >= 0.5))
 
 
+def unitarity_defect(mat: np.ndarray) -> float:
+    """Max-norm Gram defect max|M M^dag - 1|."""
+    return float(np.max(np.abs(mat @ mat.conj().T - np.eye(len(mat)))))
+
+
 def is_unitary(op, tol: float) -> bool:
-    return op.unitarity_defect() <= tol
+    return unitarity_defect(op.mat) <= tol
 
 
 def is_trivial(vec, tol: float = 1e-6) -> bool:
@@ -498,3 +504,40 @@ def braid_generator_dense_powers(system, coefficients, i: int) -> np.ndarray:
     lam = system.parities[i - 1]
     return sum(coefficients.c[m] * (lam ** m).to_matrix()
                for m in range(system.d)) / math.sqrt(system.d)
+
+
+def commutator_with_monomial(mat: np.ndarray, a) -> float:
+    """max|M A - A M| for a dense M and a phased permutation A, in O(D**2): row rows[j]
+    of M A - A M holds M[rows[j], rows[k]] roots[k] - roots[j] M[j, k] at column k."""
+    rows, roots = a
+    return float(np.max(np.abs(mat.take(rows, 0).take(rows, 1) * roots - roots[:, None] * mat)))
+
+
+def overall_parity_support(sys_) -> tuple[np.ndarray, np.ndarray]:
+    """Support of Lambda_1 Lambda_3 ... Lambda_{2n-1}, conserved by all braids, by gathers."""
+    from parabraid.systems import monomial_product
+
+    return reduce(monomial_product, ((rows[1], roots[1]) for rows, roots in sys_.parity_powers[::2]))
+
+
+def dense_representation_residuals(rep) -> dict[str, float]:
+    """The braid relations on the dense D x D generators U_i, all as max-norm residuals:
+    Gram defects, far commutators, Yang-Baxter on adjacent pairs, and commutators with
+    the gamma_j outside each pair and with the overall parity."""
+    gens = rep.generators
+    unit = max(unitarity_defect(u.mat) for u in gens)
+    far = 0.0
+    yb = 0.0
+    for a in range(len(gens)):
+        for b in range(a + 1, len(gens)):
+            ua, ub = gens[a].mat, gens[b].mat
+            if b - a > 1:
+                far = max(far, float(np.max(np.abs(ua @ ub - ub @ ua))))
+            else:
+                yb = max(yb, float(np.max(np.abs(ua @ ub @ ua - ub @ ua @ ub))))
+    locality = max(commutator_with_monomial(u.mat, gamma) for i, u in enumerate(gens, start=1)
+                   for j, gamma in enumerate(rep.system.gamma_supports, start=1) if j not in (i, i + 1))
+    overall = overall_parity_support(rep.system)
+    par = max(commutator_with_monomial(u.mat, overall) for u in gens)
+    return {"unitarity": unit, "far_commutativity": far, "yang_baxter": yb,
+            "locality": locality, "overall_parity": par}

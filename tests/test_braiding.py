@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,10 @@ from parabraid.constraints import CoefficientVector, FZCParams, all_fzc_params, 
 from parabraid.parafermions import (build_parafermions, check_defining_relations, check_parity_algebra,
                                     parity)
 from parabraid.phases import CyclotomicPhase
-from parabraid.systems import DenseOperator, commutator_with_monomial, monomial_product
+from parabraid.systems import DenseOperator, monomial_product
 
-from oracles import braid_generator_dense_powers, eigenspace_scalars, is_unitary
+from oracles import (braid_generator_dense_powers, commutator_with_monomial, dense_representation_residuals,
+                     eigenspace_scalars, is_unitary)
 
 
 def test_word_parsing_and_roundtrip():
@@ -68,13 +71,72 @@ def test_non_unitary_coefficients_rejected():
         BraidRepresentation(build_parafermions(3, 2), CoefficientVector(3, [1, 1, 1]))
 
 
-@pytest.mark.parametrize("d,n_pairs", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("d,n_pairs", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (5, 3),
+                                       (6, 3)])
 def test_representation_relations_fzc(d, n_pairs):
     for r in range(d):
         for sign in (+1, -1):
             rep = BraidRepresentation.from_fzc(d, n_pairs, r, sign)
             report = check_representation(rep)
             assert report.max_residual < 1e-10
+
+
+def _random_unitary_vectors(d: int, count: int) -> list[CoefficientVector]:
+    # |c_hat_k| = 1 at random phases: U_i is unitary, but in general no braid solution
+    rng = np.random.default_rng(d)
+    k = np.arange(d)
+    dft = np.exp(-2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
+    return [CoefficientVector(d, dft @ np.exp(1j * rng.uniform(0, 2 * np.pi, d))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n_pairs", [2, 3])
+@pytest.mark.parametrize("d", range(2, 8))
+def test_weyl_pair_residuals_match_dense_oracle(d, n_pairs):
+    # the d x d residuals against the dense D x D relations, at every FZC point,
+    # the trivial vector, a d = 4 family point and unitary non-solutions
+    system = build_parafermions(d, n_pairs)
+    fzc = [(fzc_coefficients(params), params) for params in all_fzc_params(d)]
+    others = [(trivial_vector(d), None)] + ([(d4_family(0.7, -1), None)] if d == 4 else [])
+    random = _random_unitary_vectors(d, 3)
+    for vec, params in fzc + others + [(vec, None) for vec in random]:
+        rep = BraidRepresentation(system, vec, fzc=params)
+        report = check_representation(rep)
+        dense = dense_representation_residuals(rep)
+        assert abs(report.unitarity - dense["unitarity"]) <= 1e-12
+        assert abs(report.yang_baxter - dense["yang_baxter"]) <= 1e-12
+        assert report.overall_parity == 0.0
+        assert max(dense["far_commutativity"], dense["locality"], dense["overall_parity"]) < 1e-12
+        if any(vec is v for v in random):
+            assert report.yang_baxter > 1e-10  # so the check can still fail
+
+
+@pytest.mark.parametrize("d", (5, 7))
+def test_weyl_pair_reads_the_exchange_exponent_from_the_labels(d):
+    # Lambda_2 -> Lambda_2**2 keeps locality and makes s = 2 with both neighbours, where
+    # the FZC vectors fail Yang-Baxter: the d x d residual at that s still equals the dense one
+    system = build_parafermions(d, 2)
+    lam = system.parities
+    squared = dataclasses.replace(system, parities=(lam[0], lam[1] ** 2, lam[2]))
+    for params in all_fzc_params(d):
+        rep = BraidRepresentation(squared, fzc_coefficients(params))
+        report = check_representation(rep)
+        assert abs(report.yang_baxter - dense_representation_residuals(rep)["yang_baxter"]) <= 1e-12
+        assert report.yang_baxter > 1e-10
+
+
+@pytest.mark.parametrize("d,i,tamper,message", [
+    (3, 2, lambda lam: PauliLabel.identity(3, 2), "not coprime"),    # s = 0 with both neighbours
+    (4, 2, lambda lam: lam ** 2, "not coprime"),                     # s = 2, a zero divisor mod 4
+    (3, 1, lambda lam: dataclasses.replace(lam, phase=lam.phase + 1), r"Lambda_1\*\*d"),  # -1 at d-th power
+])
+def test_tampered_parity_labels_rejected(d, i, tamper, message):
+    # each tampered system keeps locality, so only the d x d reduction's precondition fails
+    system = build_parafermions(d, 2)
+    parities = list(system.parities)
+    parities[i - 1] = tamper(parities[i - 1])
+    tampered = dataclasses.replace(system, parities=tuple(parities))
+    with pytest.raises(ValueError, match=message):
+        BraidRepresentation(tampered, fzc_coefficients(FZCParams(d, 0, +1)))
 
 
 @pytest.mark.parametrize("n_pairs", [2, 3])
@@ -122,6 +184,7 @@ def test_checks_build_no_dense_pauli_operators(monkeypatch):
     monkeypatch.setattr(PauliLabel, "to_matrix", counting_to_matrix)
     for rep in reps:
         check_representation(rep)
+    assert all("generators" not in vars(rep) for rep in reps)  # no dense U_i either
     check_defining_relations(system)
     check_parity_algebra(system)
     # no dense gamma_j, Lambda_i, Lambda_i**m or overall parity: all stay

@@ -13,7 +13,8 @@ from parabraid.parafermions import (
 )
 from parabraid.systems import DenseOperator, SizeBoundError, pauli_x, pauli_z
 
-from oracles import is_phased_permutation, jordan_wigner_gammas, scatter_monomial
+from oracles import (is_phased_permutation, jordan_wigner_gammas, overall_parity_support,
+                     scatter_monomial)
 
 
 def test_majorana_pair():
@@ -81,7 +82,7 @@ def test_labels_match_jordan_wigner_oracle(d, n_pairs):
         assert np.max(np.abs(parity(sys_, i).mat - want)) < 1e-14
         if i % 2 == 1:
             total = total @ want
-    assert np.max(np.abs(scatter_monomial(sys_.overall_parity) - total)) < 1e-14
+    assert np.max(np.abs(scatter_monomial(overall_parity_support(sys_)) - total)) < 1e-14
 
 
 def test_build_makes_no_dense_products(monkeypatch):
@@ -194,11 +195,10 @@ def test_eigenbasis_full_space_action():
 
 def test_overall_parity_structure():
     sys_ = build_parafermions(3, 2)
-    assert is_phased_permutation(sys_.overall_parity)
-    total = scatter_monomial(sys_.overall_parity)
+    assert is_phased_permutation(overall_parity_support(sys_))
+    total = scatter_monomial(overall_parity_support(sys_))
     assert np.max(np.abs(total - parity(sys_, 1).mat @ parity(sys_, 3).mat)) < 1e-14
     assert np.max(np.abs(np.linalg.matrix_power(total, 3) - np.eye(9))) < 1e-12
-    assert sys_.overall_parity is sys_.overall_parity  # composed once per system
 
 
 def test_index_and_bound_errors():

@@ -7,7 +7,6 @@ from parabraid.systems import (
     DenseOperator,
     QuditSystem,
     SizeBoundError,
-    commutator_with_monomial,
     controlled_phase,
     controlled_shift,
     embed,
@@ -21,7 +20,8 @@ from parabraid.systems import (
     pauli_z,
 )
 
-from oracles import is_phased_permutation, is_unitary, pauli_monomial_kron, scatter_monomial
+from oracles import (commutator_with_monomial, is_phased_permutation, is_unitary, pauli_monomial_kron,
+                     scatter_monomial, unitarity_defect)
 
 
 def test_qubit_matrices():
@@ -61,7 +61,7 @@ def test_fourier_conjugation(d):
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_fourier_unitary(d):
-    assert fourier_gate(d).unitarity_defect() < 1e-13
+    assert unitarity_defect(fourier_gate(d).mat) < 1e-13
 
 
 def test_basis_index_convention():
