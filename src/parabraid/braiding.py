@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -145,7 +144,7 @@ def canonical_word(name: str) -> BraidWord:
 
 
 class BraidRepresentation:
-    """Braid generators U_1 .. U_{2n-1} for one coefficient vector, made dense on first use."""
+    """Braid generators U_1 .. U_{2n-1} for one coefficient vector, each made dense on first use."""
 
     def __init__(self, system: ParafermionSystem, coefficients: CoefficientVector,
                  fzc: FZCParams | None = None):
@@ -158,25 +157,12 @@ class BraidRepresentation:
         self.coefficients = coefficients
         self.fzc = fzc
         self.parity_products = self._validate()
+        self._generators: dict[int, DenseOperator] = {}
 
     @classmethod
     def from_fzc(cls, d: int, n_pairs: int, r: int = 0, sign: int = +1) -> "BraidRepresentation":
         params = FZCParams(d, r, sign)
         return cls(build_parafermions(d, n_pairs), fzc_coefficients(params), fzc=params)
-
-    @cached_property
-    def generators(self) -> tuple[DenseOperator, ...]:
-        return tuple(self._build_generator(i) for i in range(1, self.system.n_modes))
-
-    def _build_generator(self, i: int) -> DenseOperator:
-        # sum_m c_m Lambda_i**m / sqrt(d), scattered in order of m from the powers' supports
-        d = self.system.d
-        rows, roots = self.system.parity_powers[i - 1]
-        acc = np.zeros((rows.shape[1],) * 2, dtype=complex)
-        cols = np.arange(rows.shape[1])
-        for m in range(d):
-            acc[rows[m], cols] += self.coefficients.c[m] * roots[m]
-        return DenseOperator(acc / math.sqrt(d), d, self.system.n_pairs)
 
     def _validate(self) -> np.ndarray:
         """Raise unless check_representation's d x d reduction holds and the U_i are local and
@@ -206,9 +192,19 @@ class BraidRepresentation:
         return parity_products
 
     def generator(self, i: int) -> DenseOperator:
+        """U_i = sum_m c_m Lambda_i**m / sqrt(d), scattered in order of m from the powers'
+        supports on first use and kept; no other U_j is built."""
         if not 1 <= i <= self.system.n_modes - 1:
             raise IndexError(f"generator index {i} out of range 1..{self.system.n_modes - 1}")
-        return self.generators[i - 1]
+        if i not in self._generators:
+            d = self.system.d
+            rows, roots = self.system.parity_powers[i - 1]
+            acc = np.zeros((rows.shape[1],) * 2, dtype=complex)
+            cols = np.arange(rows.shape[1])
+            for m in range(d):
+                acc[rows[m], cols] += self.coefficients.c[m] * roots[m]
+            self._generators[i] = DenseOperator(acc / math.sqrt(d), d, self.system.n_pairs)
+        return self._generators[i]
 
 
 def _weyl_residuals(c: np.ndarray, s: int) -> tuple[float, float]:

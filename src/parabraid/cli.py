@@ -16,7 +16,7 @@ from . import report as rep
 from .braiding import BraidRepresentation, BraidWord, braid_tableau, canonical_word, \
     check_representation, conjugation_action, diagonal_phases
 from .clifford import DEFAULT_CLOSURE_LIMIT, CliffordTableau, ClosureLimitError, \
-    check_key_width, clifford_membership, closure, reference_generators
+    check_key_width, closure, gate_tableau, reference_generators
 from .constraints import (
     CoefficientVector,
     FZCParams,
@@ -239,16 +239,17 @@ def cmd_entangling(d: int) -> RunReport:
 
     Runs on exact tableaux: each braid word is composed by braid_tableau,
     restricted to the code by logical_tableau and compared with the target
-    gate's tableau, which is equality of unitaries modulo global phase.  A
-    word that leaks out of the code reads leakage 1.0.  The dense restriction
-    (criteria 10 and 11) is the oracle for this suite.
+    gate's closed-form tableau (gate_tableau), which is equality of unitaries
+    modulo global phase, so no matrix is built.  A word that leaks out of the
+    code reads leakage 1.0.  The dense restriction (criteria 10 and 11) is
+    the oracle for this suite.
     """
     out = RunReport("entangling", {"d": d, "r": 0})
     t0 = time.perf_counter()
     system = build_parafermions(d, 4)
     params = FZCParams(d, 0)
     words = entangling_words(d)
-    cx = clifford_membership(controlled_shift(d))
+    cx, cz = gate_tableau("CX", d), gate_tableau("CZ", d)
 
     def logical(word: BraidWord) -> CliffordTableau | None:
         try:
@@ -260,8 +261,7 @@ def cmd_entangling(d: int) -> RunReport:
     leaked = ts is None or tsd is None or tt is None
     out.add(Check("leakage", 1.0 if leaked else 0.0, 1e-10))
     out.add(flag_check("inverse_s_is_squared_controlled_shift", tsd == cx.compose(cx)))
-    out.add(flag_check("t_braid_is_squared_controlled_phase",
-                       tt == clifford_membership(controlled_phase(d).power(2))))
+    out.add(flag_check("t_braid_is_squared_controlled_phase", tt == cz.compose(cz)))
 
     table = parity_conjugation_table(system, params, words["S"])
     # Exact flags, kept as residual checks with their tolerance so the report bytes hold.

@@ -22,16 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import (
-    DenseOperator,
-    QuditSystem,
-    controlled_shift,
-    embed,
-    fourier_gate,
-    pauli_monomial,
-    pauli_x,
-    pauli_z,
-)
+from .systems import DenseOperator, QuditSystem, pauli_monomial, pauli_x, pauli_z
 
 MEMBERSHIP_TOL = 1e-9
 DEFAULT_CLOSURE_LIMIT = 10_000_000
@@ -280,43 +271,48 @@ def clifford_membership(op: DenseOperator, tol: float = MEMBERSHIP_TOL) -> Cliff
     return CliffordTableau.from_images(d, n, images)
 
 
-def reference_phase_gate(d: int) -> DenseOperator:
-    """Canonical diagonal gate with conjugation action X -> X Zdag, Z -> Z.
+# Rows (x|z) of the images of X_1.., Z_1.. under each reference gate, reduced mod d on use.
+_GATE_ROWS = {"P": [[1, -1], [0, 1]], "F": [[0, 1], [-1, 0]],
+              "CX": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -1, 1]],
+              "CZ": [[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
 
-    For odd d the action is realized with phase exactly 1,
-    diag(omega**(-k(k-1)/2)).  For even d no unitary realizes the phase-free
-    action (the image of the cyclic shift would have the wrong Hermiticity),
-    so the minimal half-power realization diag(omega**(-k**2/2)) is used,
-    whose X image carries the unavoidable phase omega**(-1/2).
+
+def gate_tableau(name: str, d: int) -> CliffordTableau:
+    """Closed-form tableau of a reference gate (Hostens, Dehaene and De Moor, PRA 2005).
+
+    P: X -> X Zdag, Z -> Z.  F (systems.fourier_gate): X -> Z, Z -> Xdag.  CX
+    (systems.controlled_shift): X_1 -> X_1 X_2, Z_2 -> Zdag_1 Z_2.  CZ
+    (systems.controlled_phase): X_1 -> X_1 Z_2, X_2 -> X_2 Z_1.  Other rows are fixed with
+    phase 0, except P's X image at even d: no unitary realizes P there with phase 1 (the
+    shift's image would have the wrong Hermiticity), and the half-power realization
+    diag(omega**(-k**2/2)) gives it omega**(-1/2), phase exponent 2d - 1.  At odd d,
+    diag(omega**(-k(k-1)/2)) realizes P with phase 1.
     """
-    k = np.arange(d)
-    if d % 2 == 1:
-        diag = np.exp(-1j * np.pi * k * (k - 1) / d)
-    else:
-        diag = np.exp(-1j * np.pi * k * k / d)
-    return DenseOperator(np.diag(diag), d, 1)
+    rows = _GATE_ROWS[name]
+    phases = [-1 if name == "P" and d % 2 == 0 else 0] + [0] * (len(rows) - 1)
+    return CliffordTableau(d, len(rows) // 2, rows, phases)
+
+
+def embed_tableau(n: int, q: int, local: CliffordTableau) -> CliffordTableau:
+    """Place a k-qudit tableau on qudits q..q+k-1 (1-based) of n, identity elsewhere: the
+    tableau of systems.embed's matrix."""
+    k = local.n
+    if not 1 <= q <= n - k + 1:
+        raise IndexError(f"a {k}-qudit tableau at qudit {q} does not fit in 1..{n}")
+    idx = np.r_[q - 1:q - 1 + k, n + q - 1:n + q - 1 + k]
+    vecs, phases = np.eye(2 * n, dtype=np.int64), np.zeros(2 * n, dtype=np.int64)
+    vecs[np.ix_(idx, idx)], phases[idx] = local.vecs, local.phases
+    return CliffordTableau(local.d, n, vecs, phases)
 
 
 def reference_generators(d: int, n: int) -> list[CliffordTableau]:
-    """Tableaux of the textbook generating set on n qudits, from explicit unitaries.
-
-    The phase gate (X -> X Zdag, Z -> Z) and the Fourier gate (X -> Z,
-    Z -> Xdag) on each qudit in turn, then the controlled shift on each
-    adjacent pair (q, q+1).  Building them from matrices keeps every tableau
-    realizable by an actual unitary; the matrices have dimension d**n, so
-    the dense size bound applies.
-    """
-    system = QuditSystem(d, n)
-    singles = (reference_phase_gate(d), fourier_gate(d))
-    mats = [embed(system, q, gate.mat) for q in range(1, n + 1) for gate in singles]
-    mats += [embed(system, q, controlled_shift(d).mat) for q in range(1, n)]
-    out = []
-    for mat in mats:
-        tab = clifford_membership(mat)
-        if tab is None:
-            raise AssertionError("reference gate failed Clifford membership")
-        out.append(tab)
-    return out
+    """Tableaux of the textbook generating set on any n qudits, with no matrix: P and F
+    (gate_tableau) on each qudit in turn, then CX on each adjacent pair (q, q+1)."""
+    if d < 2 or n < 1:
+        raise ValueError(f"need d >= 2 and n >= 1, got d = {d}, n = {n}")
+    singles = [gate_tableau(name, d) for name in ("P", "F")]
+    return ([embed_tableau(n, q, gate) for q in range(1, n + 1) for gate in singles]
+            + [embed_tableau(n, q, gate_tableau("CX", d)) for q in range(1, n)])
 
 
 # ----- vectorized closure over packed tableau keys -----

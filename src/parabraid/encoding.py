@@ -23,6 +23,7 @@ omega**(phi/2) X**a Z**b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -177,39 +178,23 @@ def quadratic_phase_gate(enc: Encoding) -> DenseOperator:
 
 
 def gate_dictionary(enc: Encoding) -> list[tuple[str, DenseOperator]]:
-    """Candidate gates, in the deterministic order used for identification."""
+    """Candidate gates, in the deterministic order used for identification: the identity,
+    then at one qudit the Paulis, F, F_dagger and the quadratic phase gate, at two qudits
+    the powers of CX and CZ, then the Paulis."""
     if enc.n_logical not in (1, 2):
         raise ValueError(f"the gate dictionary covers 1 or 2 logical qudits, got {enc.n_logical}")
-    d = enc.d
-    sys_ = enc.logical_system
-    entries: list[tuple[str, DenseOperator]] = [("identity", DenseOperator.identity(sys_))]
+    d, sys_ = enc.d, enc.logical_system
+    paulis = []
+    for exps in list(product(range(d), repeat=2 * enc.n_logical))[1:]:  # the identity is first
+        a, b = exps[0::2], exps[1::2]  # exps = (a_1, b_1, a_2, b_2)
+        paulis.append(("@".join(f"X^{x}Z^{z}" for x, z in zip(a, b)), pauli_monomial(sys_, a, b)))
+    identity = [("identity", DenseOperator.identity(sys_))]
     if enc.n_logical == 1:
-        for a in range(d):
-            for b in range(d):
-                if a == b == 0:
-                    continue
-                entries.append((f"X^{a}Z^{b}", pauli_monomial(sys_, (a,), (b,))))
-        entries.append(("F", fourier_gate(d)))
-        entries.append(("F_dagger", fourier_gate(d).dag()))
-        entries.append(("quadratic_phase", quadratic_phase_gate(enc)))
-    else:
-        cx = controlled_shift(d)
-        cz = controlled_phase(d)
-        for a in range(1, d):
-            entries.append((f"CX^{a}", cx.power(a)))
-        for a in range(1, d):
-            entries.append((f"CZ^{a}", cz.power(a)))
-        for a1 in range(d):
-            for b1 in range(d):
-                for a2 in range(d):
-                    for b2 in range(d):
-                        if a1 == b1 == a2 == b2 == 0:
-                            continue
-                        entries.append((
-                            f"X^{a1}Z^{b1}@X^{a2}Z^{b2}",
-                            pauli_monomial(sys_, (a1, a2), (b1, b2)),
-                        ))
-    return entries
+        return identity + paulis + [("F", fourier_gate(d)), ("F_dagger", fourier_gate(d).dag()),
+                                    ("quadratic_phase", quadratic_phase_gate(enc))]
+    powers = [(f"{name}^{a}", gate.power(a)) for name, gate in
+              (("CX", controlled_shift(d)), ("CZ", controlled_phase(d))) for a in range(1, d)]
+    return identity + powers + paulis
 
 
 def identify_gate(enc: Encoding, word: BraidWord, tol: float = IDENTIFY_TOL) -> LogicalGateID:
@@ -298,10 +283,12 @@ def certificate_r(d: int) -> int:
     """Representation parameter used for the group-generation certificates.
 
     At r = d // 2 the diagonal braid gate coincides (up to global phase)
-    with the canonical reference phase gate.  That gives the full
-    single-qudit Clifford group only once U3 is among the generators: the
-    three exchanges U1, U2, U3 of one quadruplet close to the reference
-    group, while U1 and U1 U2 U1 alone (the n_logical = 1 set of
+    with the reference phase gate P.  With U3 among the generators, the
+    three exchanges U1, U2, U3 of one quadruplet close to the reference group
+    <P, F>.  That is the whole single-qudit Clifford group modulo phase only
+    at odd d and d = 2; at even d >= 4 it is an index-(d/2)**2 subgroup,
+    because P**d = Z**(d/2) up to phase leaves 4 of the d**2 Pauli
+    translations.  U1 and U1 U2 U1 alone (the n_logical = 1 set of
     braid_generator_tableaux) miss the Pauli translations for odd d.  The
     choice of r matters too: the r = 0 diagonal is the symplectic-lift
     special point, where even all three exchanges miss the Pauli

@@ -171,19 +171,11 @@ def validate_schema(instance, schema: dict, path: str = "$") -> list[str]:
     return errors
 
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "number": (int, float),
+               "boolean": bool, "null": type(None)}
+
+
 def _type_matches(value, type_name: str) -> bool:
-    if type_name == "object":
-        return isinstance(value, dict)
-    if type_name == "array":
-        return isinstance(value, list)
-    if type_name == "string":
-        return isinstance(value, str)
-    if type_name == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if type_name == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if type_name == "boolean":
-        return isinstance(value, bool)
-    if type_name == "null":
-        return value is None
-    return False
+    if isinstance(value, bool) and type_name in ("integer", "number"):
+        return False  # bool subclasses int, but JSON keeps them apart
+    return isinstance(value, _JSON_TYPES.get(type_name, ()))

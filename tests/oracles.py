@@ -4,7 +4,8 @@ Everything here sticks to brute force or a code path disjoint from the
 package internals it checks: matrix-level group enumeration with canonical
 phase normalization, Pauli monomials as Kronecker products of local
 factors, (rows, roots) pairs scattered entry by entry, the Jordan-Wigner parafermions as dense string products, braid
-generator tableaux read off dense restricted unitaries, determinant
+generator tableaux read off dense restricted unitaries, the reference
+generator tableaux read off embedded dense unitaries, determinant
 counting over Z_d, a transvection sweep
 for the four-dimensional symplectic group over Z_3, tableau conjugation,
 composition and inversion in PauliLabel arithmetic one label at a time,
@@ -141,6 +142,49 @@ def dense_braid_tableaux(d: int, n_logical: int, r: int | None = None, sign: int
         tab = clifford_membership(restricted)
         if tab is None:
             raise ValueError("braid generator is not a Clifford gate")
+        out.append(tab)
+    return out
+
+
+def reference_phase_gate(d: int):
+    """Canonical diagonal gate with conjugation action X -> X Zdag, Z -> Z.
+
+    For odd d the action is realized with phase exactly 1,
+    diag(omega**(-k(k-1)/2)).  For even d no unitary realizes the phase-free
+    action (the image of the cyclic shift would have the wrong Hermiticity),
+    so the minimal half-power realization diag(omega**(-k**2/2)) is used,
+    whose X image carries the unavoidable phase omega**(-1/2).
+    """
+    from parabraid.systems import DenseOperator
+
+    k = np.arange(d)
+    if d % 2 == 1:
+        diag = np.exp(-1j * np.pi * k * (k - 1) / d)
+    else:
+        diag = np.exp(-1j * np.pi * k * k / d)
+    return DenseOperator(np.diag(diag), d, 1)
+
+
+def dense_reference_generators(d: int, n: int) -> list:
+    """reference_generators through explicit unitaries: each gate embedded as a d**n matrix
+    and its tableau read back with clifford_membership, so the dense size bound applies.
+
+    The phase gate (X -> X Zdag, Z -> Z) and the Fourier gate (X -> Z,
+    Z -> Xdag) on each qudit in turn, then the controlled shift on each
+    adjacent pair (q, q+1).
+    """
+    from parabraid.clifford import clifford_membership
+    from parabraid.systems import QuditSystem, controlled_shift, embed, fourier_gate
+
+    system = QuditSystem(d, n)
+    singles = (reference_phase_gate(d), fourier_gate(d))
+    mats = [embed(system, q, gate.mat) for q in range(1, n + 1) for gate in singles]
+    mats += [embed(system, q, controlled_shift(d).mat) for q in range(1, n)]
+    out = []
+    for mat in mats:
+        tab = clifford_membership(mat)
+        if tab is None:
+            raise AssertionError("reference gate failed Clifford membership")
         out.append(tab)
     return out
 
@@ -524,7 +568,7 @@ def dense_representation_residuals(rep) -> dict[str, float]:
     """The braid relations on the dense D x D generators U_i, all as max-norm residuals:
     Gram defects, far commutators, Yang-Baxter on adjacent pairs, and commutators with
     the gamma_j outside each pair and with the overall parity."""
-    gens = rep.generators
+    gens = [rep.generator(i) for i in range(1, rep.system.n_modes)]
     unit = max(unitarity_defect(u.mat) for u in gens)
     far = 0.0
     yb = 0.0

@@ -149,8 +149,8 @@ def test_generators_match_dense_powers_bitwise(d, n_pairs):
         for sign in (+1, -1):
             vec = fzc_coefficients(FZCParams(d, r, sign))
             rep = BraidRepresentation(system, vec)
-            for i, u in enumerate(rep.generators, start=1):
-                assert np.array_equal(u.mat, braid_generator_dense_powers(system, vec, i))
+            for i in range(1, system.n_modes):
+                assert np.array_equal(rep.generator(i).mat, braid_generator_dense_powers(system, vec, i))
 
 
 def test_parity_powers_built_once_per_system():
@@ -184,7 +184,7 @@ def test_checks_build_no_dense_pauli_operators(monkeypatch):
     monkeypatch.setattr(PauliLabel, "to_matrix", counting_to_matrix)
     for rep in reps:
         check_representation(rep)
-    assert all("generators" not in vars(rep) for rep in reps)  # no dense U_i either
+    assert all(rep._generators == {} for rep in reps)  # no dense U_i either
     check_defining_relations(system)
     check_parity_algebra(system)
     # no dense gamma_j, Lambda_i, Lambda_i**m or overall parity: all stay
@@ -193,6 +193,18 @@ def test_checks_build_no_dense_pauli_operators(monkeypatch):
     assert built == []
     system.gamma(1)  # the counter does see a dense build
     assert len(built) == 1
+
+
+def test_conjugation_action_builds_one_generator():
+    # conjugation_action and diagonal_phases read U_1 only, so only U_1 is built, once
+    rep = BraidRepresentation.from_fzc(3, 3, 1, +1)
+    conjugation_action(rep, 1)
+    assert list(rep._generators) == [1]
+    u = rep.generator(1)
+    diagonal_phases(rep, 1)
+    assert list(rep._generators) == [1] and rep.generator(1) is u
+    rep.generator(4)
+    assert sorted(rep._generators) == [1, 4]
 
 
 def test_conjugation_law_majorana_case():

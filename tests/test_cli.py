@@ -187,8 +187,40 @@ def test_entangling_suite_flags_a_leaking_word(monkeypatch):
 
 def test_entangling_suite_past_the_dense_bound():
     # eight parafermions at d = 9 span 9**4 = 6561 > 4096 states, but the
-    # suite's largest matrix is the 81 x 81 controlled shift
+    # suite builds no matrix
     assert cli.cmd_entangling(9).passed
+
+
+def test_reference_gates_build_no_dense_matrix(monkeypatch):
+    # the reference set and the entangling suite's CX and CZ**2 targets are
+    # closed-form tableaux: no membership read-back, no embedding, no matrix
+    import sys
+
+    from parabraid import clifford, systems
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(systems.DenseOperator, "__init__", counted(systems.DenseOperator.__init__))
+    for original in (clifford.clifford_membership, systems.embed):
+        wrapper = counted(original)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("parabraid"):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapper)
+    clifford.reference_generators(3, 2)
+    assert all(cli.cmd_entangling(d).passed for d in range(2, 6))
+    assert cli.cmd_clifford(3, 1, "reference", cli.DEFAULT_CLOSURE_LIMIT)[0].passed
+    assert calls == []
+    clifford.clifford_membership(systems.fourier_gate(2))  # the counters do see the dense path
+    cli.cmd_algebra(2, 2)
+    assert {"clifford_membership", "embed", "__init__"} <= set(calls)
 
 
 def test_gates_nonzero_r(tmp_path):

@@ -12,18 +12,20 @@ from parabraid.clifford import (
     check_key_width,
     clifford_membership,
     closure,
+    embed_tableau,
     extract_pauli_monomial,
+    gate_tableau,
     reference_generators,
-    reference_phase_gate,
     symplectic_product,
     tableau_key,
 )
 from parabraid.encoding import braid_generator_tableaux
-from parabraid.systems import DenseOperator, QuditSystem, controlled_shift, fourier_gate, pauli_x, \
-    pauli_z
+from parabraid.systems import DenseOperator, QuditSystem, controlled_phase, controlled_shift, embed, \
+    fourier_gate, pauli_x, pauli_z
 
-from oracles import closure_keys_reference, matrix_group_order, sl2_order, symplectic_product_loop, \
-    tableau_apply_loop, tableau_compose_loop, tableau_inverse_loop
+from oracles import closure_keys_reference, dense_reference_generators, matrix_group_order, \
+    reference_phase_gate, sl2_order, symplectic_product_loop, tableau_apply_loop, \
+    tableau_compose_loop, tableau_inverse_loop
 
 
 def random_label(rng, d, n):
@@ -186,16 +188,18 @@ def test_array_tableau_arithmetic_matches_label_oracle(d, n):
     assert int(symplectic_product(u[2], v[3], d)) == pairs[2, 3]
 
 
-@pytest.mark.parametrize("d", (2, 3, 4, 5))
+@pytest.mark.parametrize("d", range(2, 13))
 def test_reference_closure_orders(d):
-    # the two-gate set reaches all |SL(2,Z_d)| * d**2 elements for d = 2, 3, 5;
-    # at d = 4 only a quarter of the Pauli translations are generated
-    expected = {2: 24, 3: 216, 4: 192, 5: 3000}
+    # <P, F> is the whole single-qudit Clifford group modulo phase, |SL(2, Z_d)| d**2
+    # elements, at odd d and d = 2.  At even d >= 4, P**d = Z**(d/2) up to phase, and
+    # the closure holds only 4 of the d**2 Pauli translations: an index-(d/2)**2
+    # subgroup (192 of 768 elements at d = 4, 4,608 of 165,888 at d = 12)
     result = closure(reference_generators(d, 1))
-    assert result.order == expected[d]
     assert result.symplectic_order() == sl2_order(d)
-    if d != 4:
-        assert result.order == sl2_order(d) * d * d
+    assert result.order == sl2_order(d) * (d * d if d % 2 == 1 or d == 2 else 4)
+    pinned = {2: 24, 3: 216, 4: 192, 5: 3000, 12: 4608}
+    if d in pinned:
+        assert result.order == pinned[d]
 
 
 @pytest.mark.parametrize("d", (2, 3))
@@ -275,9 +279,42 @@ def test_two_qubit_braid_closure_recorded():
     assert result.order == 576
 
 
-def test_tableau_key_stability():
-    tab = reference_generators(3, 1)[0]
-    assert tableau_key(tab) == tableau_key(clifford_membership(reference_phase_gate(3)))
+def test_reference_generators_match_dense_oracle():
+    # the closed forms against the embedded dense unitaries, generator by generator; at
+    # (3, 1) generator 0 is P, whose packed key thus equals its dense gate's
+    for d, n in [(d, 1) for d in range(2, 10)] + [(d, 2) for d in range(2, 8)] \
+            + [(d, 3) for d in range(2, 6)]:
+        assert [t.key() for t in reference_generators(d, n)] == \
+            [t.key() for t in dense_reference_generators(d, n)], (d, n)
+    assert tableau_key(reference_generators(3, 1)[0]) == \
+        tableau_key(clifford_membership(reference_phase_gate(3)))
+    for d in range(2, 8):
+        assert gate_tableau("CX", d) == clifford_membership(controlled_shift(d))
+        assert gate_tableau("CZ", d) == clifford_membership(controlled_phase(d))
+
+
+def test_embed_tableau_is_the_twin_of_embed():
+    # placing a gate's tableau equals the tableau of the placed matrix, and misfits raise alike
+    for d, n in ((2, 3), (3, 3), (4, 2)):
+        system = QuditSystem(d, n)
+        for gate in (reference_phase_gate(d), fourier_gate(d), controlled_shift(d),
+                     controlled_phase(d)):
+            local = clifford_membership(gate)
+            for q in range(1, n - local.n + 2):
+                assert embed_tableau(n, q, local) == clifford_membership(embed(system, q, gate.mat))
+            for q in (0, n - local.n + 2):
+                with pytest.raises(IndexError, match="does not fit"):
+                    embed_tableau(n, q, local)
+
+
+def test_reference_generators_need_no_dense_register():
+    # 3**16 states are far past the dense size bound; the closed forms place each gate alone
+    gens = reference_generators(3, 16)
+    assert len(gens) == 2 * 16 + 15
+    assert gens[-1] == embed_tableau(16, 15, gate_tableau("CX", 3))
+    assert gens[2 * 7 + 1] == embed_tableau(16, 8, gate_tableau("F", 3))
+    with pytest.raises(ValueError, match="n >= 1"):
+        reference_generators(3, 0)
 
 
 def closure_test_generators(kind, d, n):
