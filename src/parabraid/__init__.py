@@ -54,7 +54,6 @@ from .encoding import (
     entangling_words,
     identify_gate,
     parity_conjugation_table,
-    restrict,
     restrict_word,
 )
 from .clifford import (

@@ -17,8 +17,9 @@ For the quadratic-phase (FZC) family, with Lambda_i P = omega**s P Lambda_i,
 U_i P U_i^dag = omega**(-s(s+2r+d)/2) P Lambda_i**(-s) for every Pauli label
 P (phase exponent -s(s+2r+d) mod 2d), and the - sign family is the inverse
 of the + family at -r.  braid_tableau composes this law, on the tableau's
-integer rows, into the exact tableau of a word; the dense unitaries are its
-oracle and the only path for other coefficient vectors.
+integer rows, into the exact tableau of a word.  BraidRepresentation.apply,
+one letter acting on a block of columns, is its oracle and the only path for
+other coefficient vectors.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def canonical_word(name: str) -> BraidWord:
 
 
 class BraidRepresentation:
-    """Braid generators U_1 .. U_{2n-1} for one coefficient vector, each made dense on first use."""
+    """Braid generators U_1 .. U_{2n-1} for one coefficient vector, acting on blocks of columns."""
 
     def __init__(self, system: ParafermionSystem, coefficients: CoefficientVector,
                  fzc: FZCParams | None = None):
@@ -157,7 +158,6 @@ class BraidRepresentation:
         self.coefficients = coefficients
         self.fzc = fzc
         self.parity_products = self._validate()
-        self._generators: dict[int, DenseOperator] = {}
 
     @classmethod
     def from_fzc(cls, d: int, n_pairs: int, r: int = 0, sign: int = +1) -> "BraidRepresentation":
@@ -191,20 +191,25 @@ class BraidRepresentation:
             raise ValueError(f"U_i not unitary: defect {defect:.3e}")
         return parity_products
 
-    def generator(self, i: int) -> DenseOperator:
-        """U_i = sum_m c_m Lambda_i**m / sqrt(d), scattered in order of m from the powers'
-        supports on first use and kept; no other U_j is built."""
+    def apply(self, i: int, exp: int, block: np.ndarray) -> np.ndarray:
+        """U_i**exp @ block, U_i = sum_m c_m Lambda_i**m / sqrt(d): d scatters of block's rows
+        along the powers' supports (exp = +1) or d gathers with conjugated entries (exp = -1)."""
         if not 1 <= i <= self.system.n_modes - 1:
             raise IndexError(f"generator index {i} out of range 1..{self.system.n_modes - 1}")
-        if i not in self._generators:
-            d = self.system.d
-            rows, roots = self.system.parity_powers[i - 1]
-            acc = np.zeros((rows.shape[1],) * 2, dtype=complex)
-            cols = np.arange(rows.shape[1])
-            for m in range(d):
-                acc[rows[m], cols] += self.coefficients.c[m] * roots[m]
-            self._generators[i] = DenseOperator(acc / math.sqrt(d), d, self.system.n_pairs)
-        return self._generators[i]
+        rows, roots = self.system.parity_powers[i - 1]
+        out = np.zeros(block.shape, dtype=complex)
+        for m in range(self.system.d):
+            entries = self.coefficients.c[m] * roots[m]
+            if exp > 0:
+                out[rows[m]] += entries[:, None] * block
+            else:
+                out += entries.conj()[:, None] * block[rows[m]]
+        return out / math.sqrt(self.system.d)
+
+    def generator(self, i: int) -> DenseOperator:
+        """Dense U_i, applied to the identity."""
+        eye = np.eye(self.system.system.dim, dtype=complex)
+        return DenseOperator(self.apply(i, +1, eye), self.system.d, self.system.n_pairs)
 
 
 def _weyl_residuals(c: np.ndarray, s: int) -> tuple[float, float]:
@@ -220,14 +225,11 @@ def _weyl_residuals(c: np.ndarray, s: int) -> tuple[float, float]:
 
 
 def compose_braid(rep: BraidRepresentation, word: BraidWord) -> DenseOperator:
-    """Unitary of a braid word under the time-order convention."""
-    out = DenseOperator.identity(rep.system.system)
+    """Unitary of a braid word under the time-order convention: its letters applied to I."""
+    out = np.eye(rep.system.system.dim, dtype=complex)
     for idx, exp in word.entries:
-        u = rep.generator(idx)
-        if exp < 0:
-            u = u.dag()
-        out = u @ out
-    return out
+        out = rep.apply(idx, exp, out)
+    return DenseOperator(out, rep.system.d, rep.system.n_pairs)
 
 
 def braid_tableau(system: ParafermionSystem, params: FZCParams, word: BraidWord) -> CliffordTableau:
@@ -349,13 +351,9 @@ def diagonal_phases(rep: BraidRepresentation, i: int = 1) -> DiagonalPhases:
     phases = np.array([np.sum(c * om ** k) for k in range(d)]) / math.sqrt(d)
 
     basis = parity_eigenbasis(rep.system, i)
-    u = rep.generator(i)
-    worst = 0.0
-    for k in range(d):
-        local = basis.vector(k)
-        full = embed_vector(rep.system.system, basis.qudit, local)
-        diff = u.mat @ full - phases[k] * full
-        worst = max(worst, float(np.max(np.abs(diff))))
+    full = np.column_stack([embed_vector(rep.system.system, basis.qudit, basis.vector(k))
+                            for k in range(d)])
+    worst = float(np.max(np.abs(rep.apply(i, +1, full) - full * phases)))
 
     if rep.fzc is None or rep.fzc.sign != +1:
         return DiagonalPhases(phases, worst)

@@ -22,13 +22,14 @@ omega**(phi/2) X**a Z**b.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
+from itertools import islice, product
 
 import numpy as np
 
-from .braiding import BraidRepresentation, BraidWord, braid_tableau, canonical_word, compose_braid, \
-    diagonal_phases
+from .braiding import BraidRepresentation, BraidWord, braid_tableau, canonical_word, diagonal_phases
 from .clifford import CliffordTableau, PauliLabel, _times_power, symplectic_product
 from .constraints import FZCParams
 from .parafermions import ParafermionSystem, build_parafermions, parity_eigenbasis, parity_label
@@ -40,6 +41,7 @@ from .systems import (
     controlled_shift,
     equal_up_to_phase,
     fourier_gate,
+    monomial_support,
     pauli_monomial,
     pauli_x,
     pauli_z,
@@ -60,14 +62,6 @@ class Encoding:
     isometry: np.ndarray
     logical_system: QuditSystem
 
-    @property
-    def full_dim(self) -> int:
-        return self.isometry.shape[0]
-
-    @property
-    def logical_dim(self) -> int:
-        return self.isometry.shape[1]
-
 
 def build_encoding(d: int, n_logical: int, r: int = 0, sign: int = +1) -> Encoding:
     """Encode n_logical qudits, carrying the braid representation (r, sign).
@@ -76,54 +70,45 @@ def build_encoding(d: int, n_logical: int, r: int = 0, sign: int = +1) -> Encodi
     rows and the dense size bound applies to it.
     """
     rep = BraidRepresentation.from_fzc(d, 2 * n_logical, r, sign)
-    bases = [parity_eigenbasis(rep.system, i) for i in range(1, rep.system.n_modes, 2)]
-    logical_system = QuditSystem(d, n_logical)
-
-    columns = []
-    for logical_index in range(d**n_logical):
-        digits = logical_system.digits(logical_index)
-        vec = np.array([1.0], dtype=complex)
-        for q, k in enumerate(digits):
-            vec = np.kron(vec, bases[2 * q].vector(k))
-            vec = np.kron(vec, bases[2 * q + 1].vector((d - k) % d))
-        columns.append(vec)
-    isometry = np.column_stack(columns)
+    # Column k of a qudit's block is |k> (x) |d-k> in the eigenbases of Lambda_(4q-3) and
+    # Lambda_(4q-1), both the Fourier columns; qudit 1 is the most significant factor.
+    f = parity_eigenbasis(rep.system, 1).vectors
+    block = (f[:, None, :] * f[None, :, -np.arange(d) % d]).reshape(d * d, d)
+    isometry = reduce(np.kron, [block] * n_logical)
     isometry.setflags(write=False)
-    enc = Encoding(d, n_logical, rep, isometry, logical_system)
+    enc = Encoding(d, n_logical, rep, isometry, QuditSystem(d, n_logical))
     _validate_encoding(enc)
     return enc
 
 
 def _validate_encoding(enc: Encoding) -> None:
-    e = enc.isometry
-    gram_defect = float(np.max(np.abs(e.conj().T @ e - np.eye(enc.logical_dim))))
+    """Raise unless E is an isometry, Z_L E = E Z_q, X_L E = E X_q and S_q E = E for every q;
+    each parity acts on E's rows as the phased permutation of its monomial_support."""
+    e, sys_, logical = enc.isometry, enc.rep.system, enc.logical_system
+    gram_defect = float(np.max(np.abs(e.conj().T @ e - np.eye(logical.dim))))
     if gram_defect > ENCODING_TOL:
         raise AssertionError(f"encoding columns not orthonormal: {gram_defect:.3e}")
-    for q, (z_l, x_l, stabilizer) in enumerate(enc.rep.system.code_layout, start=1):
-        for label, make in ((z_l, pauli_z), (x_l, pauli_x)):
-            target = make(enc.logical_system, q)
-            restricted, leak = restrict(enc, label.to_operator())
-            if restricted.max_diff(target) > ENCODING_TOL or leak > ENCODING_TOL:
-                raise AssertionError(f"qudit {q}: a parity does not restrict to the expected Pauli")
-        # Image lies in the neutral-parity eigenspace: S_q E = E.
-        defect = float(np.max(np.abs(stabilizer.to_matrix() @ e - e)))
-        if defect > ENCODING_TOL:
-            raise AssertionError(f"encoding leaves the neutral-parity subspace: {defect:.3e}")
-
-
-def restrict(enc: Encoding, op: DenseOperator) -> tuple[DenseOperator, float]:
-    """Restriction T(A) = Edag A E plus the leakage norm of A on the code space."""
-    if op.dim != enc.full_dim:
-        raise ValueError(f"operator dim {op.dim} does not match the full space {enc.full_dim}")
-    e = enc.isometry
-    restricted = DenseOperator(e.conj().T @ op.mat @ e, enc.d, enc.n_logical)
-    # (I - E Edag) A E = A E - E T(A): the part of A E outside the code space.
-    leakage = float(np.max(np.abs(op.mat @ e - e @ restricted.mat)))
-    return restricted, leakage
+    for q, labels in enumerate(sys_.code_layout, start=1):
+        targets = (pauli_z(logical, q).mat, pauli_x(logical, q).mat, np.eye(logical.dim))
+        for label, target in zip(labels, targets):
+            rows, roots = monomial_support(sys_.system, label.x, label.z, label.phase)
+            image = np.empty_like(e)
+            image[rows] = roots[:, None] * e
+            defect = float(np.max(np.abs(image - e @ target)))
+            if defect > ENCODING_TOL:
+                raise AssertionError(f"qudit {q}: a code parity misses its target on E: {defect:.3e}")
 
 
 def restrict_word(enc: Encoding, word: BraidWord) -> tuple[DenseOperator, float]:
-    return restrict(enc, compose_braid(enc.rep, word))
+    """Restriction T(U) = Edag U E of a braid word's unitary, plus the leakage norm of U on the
+    code space; each letter acts on the d**n_logical columns of E, so U itself is never built."""
+    e = image = enc.isometry
+    for idx, exp in word.entries:
+        image = enc.rep.apply(idx, exp, image)
+    restricted = DenseOperator(e.conj().T @ image, enc.d, enc.n_logical)
+    # (I - E Edag) U E = U E - E T(U): the part of U E outside the code space.
+    leakage = float(np.max(np.abs(image - e @ restricted.mat)))
+    return restricted, leakage
 
 
 def logical_tableau(system: ParafermionSystem, physical: CliffordTableau) -> CliffordTableau:
@@ -171,30 +156,25 @@ class LogicalGateID:
         }
 
 
-def quadratic_phase_gate(enc: Encoding) -> DenseOperator:
-    """Diagonal single-qudit gate with the braid phases on the diagonal."""
-    phases = diagonal_phases(enc.rep, 1).phases
-    return DenseOperator(np.diag(phases), enc.d, 1)
-
-
-def gate_dictionary(enc: Encoding) -> list[tuple[str, DenseOperator]]:
-    """Candidate gates, in the deterministic order used for identification: the identity,
-    then at one qudit the Paulis, F, F_dagger and the quadratic phase gate, at two qudits
-    the powers of CX and CZ, then the Paulis."""
-    if enc.n_logical not in (1, 2):
-        raise ValueError(f"the gate dictionary covers 1 or 2 logical qudits, got {enc.n_logical}")
-    d, sys_ = enc.d, enc.logical_system
-    paulis = []
-    for exps in list(product(range(d), repeat=2 * enc.n_logical))[1:]:  # the identity is first
+def gate_dictionary(enc: Encoding) -> Iterator[tuple[str, DenseOperator]]:
+    """Candidate gates, built one at a time in the deterministic order used for identification:
+    the identity, then at one qudit the Paulis, F, F_dagger and the quadratic phase gate, at two
+    qudits the powers of CX and CZ, then the Paulis."""
+    d, sys_, n = enc.d, enc.logical_system, enc.n_logical
+    if n not in (1, 2):
+        raise ValueError(f"the gate dictionary covers 1 or 2 logical qudits, got {n}")
+    yield "identity", DenseOperator.identity(sys_)
+    if n == 2:
+        for name, gate in (("CX", controlled_shift(d)), ("CZ", controlled_phase(d))):
+            for a in range(1, d):
+                yield f"{name}^{a}", gate.power(a)
+    for exps in islice(product(range(d), repeat=2 * n), 1, None):  # the identity is first
         a, b = exps[0::2], exps[1::2]  # exps = (a_1, b_1, a_2, b_2)
-        paulis.append(("@".join(f"X^{x}Z^{z}" for x, z in zip(a, b)), pauli_monomial(sys_, a, b)))
-    identity = [("identity", DenseOperator.identity(sys_))]
-    if enc.n_logical == 1:
-        return identity + paulis + [("F", fourier_gate(d)), ("F_dagger", fourier_gate(d).dag()),
-                                    ("quadratic_phase", quadratic_phase_gate(enc))]
-    powers = [(f"{name}^{a}", gate.power(a)) for name, gate in
-              (("CX", controlled_shift(d)), ("CZ", controlled_phase(d))) for a in range(1, d)]
-    return identity + powers + paulis
+        yield "@".join(f"X^{x}Z^{z}" for x, z in zip(a, b)), pauli_monomial(sys_, a, b)
+    if n == 1:
+        yield "F", fourier_gate(d)
+        yield "F_dagger", fourier_gate(d).dag()
+        yield "quadratic_phase", DenseOperator(np.diag(diagonal_phases(enc.rep, 1).phases), d, 1)
 
 
 def identify_gate(enc: Encoding, word: BraidWord, tol: float = IDENTIFY_TOL) -> LogicalGateID:

@@ -12,8 +12,10 @@ composition and inversion in PauliLabel arithmetic one label at a time,
 tableau group closure one composition at a time, the two constraint
 residuals, the reduced d = 3 and d = 4 systems and the solver residual and
 Jacobian entry by entry, the solver's manifold probes one vector at a
-time, braid generators summed from dense parity powers, and the braid
-relations on those dense generators.
+time, braid generators summed from dense parity powers or built as
+Kronecker products of their local blocks, the braid relations on those
+dense generators, braid words composed and restricted by dense products,
+and the gate dictionary built whole and scanned.
 """
 
 from __future__ import annotations
@@ -585,3 +587,105 @@ def dense_representation_residuals(rep) -> dict[str, float]:
     par = max(commutator_with_monomial(u.mat, overall) for u in gens)
     return {"unitarity": unit, "far_commutativity": far, "yang_baxter": yb,
             "locality": locality, "overall_parity": par}
+
+
+def kron_braid_generator(rep, i: int) -> np.ndarray:
+    """Dense U_i = sum_m c_m L**m / sqrt(d) as a Kronecker product of its local block.
+
+    L is the local parity: Xdag on qudit (i + 1) / 2 for odd i, and Z (x) Zdag on qudits i / 2
+    and i / 2 + 1 for even i (the closed forms the algebra suite checks against the parities),
+    with identities on every other qudit.
+    """
+    import math
+
+    d, n, c = rep.system.d, rep.system.n_pairs, rep.coefficients.c
+    shift = np.roll(np.eye(d), 1, axis=0)  # X|k> = |k+1 mod d>
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    local = shift.T if i % 2 else np.kron(clock, clock.conj())
+    block = sum(c[m] * np.linalg.matrix_power(local, m) for m in range(d)) / math.sqrt(d)
+    first, width = (i + 1) // 2, 1 if i % 2 else 2
+    return reduce(np.kron, [np.eye(d ** (first - 1)), block, np.eye(d ** (n - first - width + 1))])
+
+
+def dense_compose_braid(rep, word):
+    """compose_braid by dense products: one D x D matmul per letter, each U_i from
+    kron_braid_generator and an inverse letter its conjugate transpose."""
+    from parabraid.systems import DenseOperator
+
+    out = DenseOperator.identity(rep.system.system)
+    for idx, exp in word.entries:
+        u = DenseOperator(kron_braid_generator(rep, idx), rep.system.d, rep.system.n_pairs)
+        out = (u if exp > 0 else u.dag()) @ out
+    return out
+
+
+def restrict(enc, op):
+    """Restriction T(A) = Edag A E plus the leakage norm of A on the code space."""
+    from parabraid.systems import DenseOperator
+
+    e = enc.isometry
+    if op.dim != e.shape[0]:
+        raise ValueError(f"operator dim {op.dim} does not match the full space {e.shape[0]}")
+    restricted = DenseOperator(e.conj().T @ op.mat @ e, enc.d, enc.n_logical)
+    # (I - E Edag) A E = A E - E T(A): the part of A E outside the code space.
+    leakage = float(np.max(np.abs(op.mat @ e - e @ restricted.mat)))
+    return restricted, leakage
+
+
+def dense_restrict_words(enc, words) -> list:
+    """restrict_word for each word through dense matrices: the dense_compose_braid products,
+    associated onto the isometry E (U_L (... (U_1 E))), so a letter costs D**2 d**n rather than
+    D**3; each U_i is built once by kron_braid_generator.  Returns (T(U), leakage) pairs."""
+    from parabraid.systems import DenseOperator
+
+    gens, out, e = {}, [], enc.isometry
+    for word in words:
+        image = e
+        for idx, exp in word.entries:
+            if idx not in gens:
+                gens[idx] = kron_braid_generator(enc.rep, idx)
+            # Udag B = conj(U^T conj(B)): U^T is a view, so no D x D copy per inverse letter
+            image = gens[idx] @ image if exp > 0 else (gens[idx].T @ image.conj()).conj()
+        restricted = DenseOperator(e.conj().T @ image, enc.d, enc.n_logical)
+        out.append((restricted, float(np.max(np.abs(image - e @ restricted.mat)))))
+    return out
+
+
+def gate_dictionary_list(enc) -> list:
+    """The gate dictionary built whole, as one list in identification order: the identity,
+    then at one qudit the Paulis, F, F_dagger and the quadratic phase gate, at two qudits the
+    powers of CX and CZ, then the Paulis."""
+    from itertools import product
+
+    from parabraid.braiding import diagonal_phases
+    from parabraid.systems import DenseOperator, controlled_phase, controlled_shift, fourier_gate, \
+        pauli_monomial
+
+    if enc.n_logical not in (1, 2):
+        raise ValueError(f"the gate dictionary covers 1 or 2 logical qudits, got {enc.n_logical}")
+    d, sys_ = enc.d, enc.logical_system
+    paulis = []
+    for exps in list(product(range(d), repeat=2 * enc.n_logical))[1:]:  # the identity is first
+        a, b = exps[0::2], exps[1::2]  # exps = (a_1, b_1, a_2, b_2)
+        paulis.append(("@".join(f"X^{x}Z^{z}" for x, z in zip(a, b)), pauli_monomial(sys_, a, b)))
+    identity = [("identity", DenseOperator.identity(sys_))]
+    if enc.n_logical == 1:
+        quadratic_phase = DenseOperator(np.diag(diagonal_phases(enc.rep, 1).phases), d, 1)
+        return identity + paulis + [("F", fourier_gate(d)), ("F_dagger", fourier_gate(d).dag()),
+                                    ("quadratic_phase", quadratic_phase)]
+    powers = [(f"{name}^{a}", gate.power(a)) for name, gate in
+              (("CX", controlled_shift(d)), ("CZ", controlled_phase(d))) for a in range(1, d)]
+    return identity + powers + paulis
+
+
+def identify_in_list(restricted, candidates, d: int, tol: float = 1e-9) -> tuple:
+    """(name, phase exponent mod 8d) of the first listed candidate equal to the restriction up
+    to a phase, or ("unknown", None): a scan of the whole list."""
+    from parabraid.phases import phase_from_complex
+    from parabraid.systems import equal_up_to_phase
+
+    for name, candidate in candidates:
+        lam = equal_up_to_phase(restricted, candidate, tol)
+        if lam is not None:
+            return name, phase_from_complex(lam, d).num
+    return "unknown", None

@@ -23,8 +23,8 @@ from parabraid.parafermions import (build_parafermions, check_defining_relations
 from parabraid.phases import CyclotomicPhase
 from parabraid.systems import DenseOperator, monomial_product
 
-from oracles import (braid_generator_dense_powers, commutator_with_monomial, dense_representation_residuals,
-                     eigenspace_scalars, is_unitary)
+from oracles import (braid_generator_dense_powers, commutator_with_monomial, dense_compose_braid,
+                     dense_representation_residuals, eigenspace_scalars, is_unitary, kron_braid_generator)
 
 
 def test_word_parsing_and_roundtrip():
@@ -182,9 +182,11 @@ def test_checks_build_no_dense_pauli_operators(monkeypatch):
         return original_to_matrix(self)
 
     monkeypatch.setattr(PauliLabel, "to_matrix", counting_to_matrix)
+    applied = []
+    monkeypatch.setattr(BraidRepresentation, "apply", lambda self, *args: applied.append(args))
     for rep in reps:
         check_representation(rep)
-    assert all(rep._generators == {} for rep in reps)  # no dense U_i either
+    assert applied == []  # no U_i acts on anything either
     check_defining_relations(system)
     check_parity_algebra(system)
     # no dense gamma_j, Lambda_i, Lambda_i**m or overall parity: all stay
@@ -195,16 +197,24 @@ def test_checks_build_no_dense_pauli_operators(monkeypatch):
     assert len(built) == 1
 
 
-def test_conjugation_action_builds_one_generator():
-    # conjugation_action and diagonal_phases read U_1 only, so only U_1 is built, once
+def test_conjugation_action_builds_one_generator(monkeypatch):
+    # conjugation_action builds U_1 alone, once, and diagonal_phases applies U_1 to the d
+    # eigenvectors, one D x d block; no other U_i acts
     rep = BraidRepresentation.from_fzc(3, 3, 1, +1)
+    applied = []
+    original = BraidRepresentation.apply
+
+    def counting(self, i, exp, block):
+        applied.append((i, exp, block.shape))
+        return original(self, i, exp, block)
+
+    monkeypatch.setattr(BraidRepresentation, "apply", counting)
     conjugation_action(rep, 1)
-    assert list(rep._generators) == [1]
-    u = rep.generator(1)
+    assert applied == [(1, +1, (27, 27))]
     diagonal_phases(rep, 1)
-    assert list(rep._generators) == [1] and rep.generator(1) is u
+    assert applied[1:] == [(1, +1, (27, 3))]
     rep.generator(4)
-    assert sorted(rep._generators) == [1, 4]
+    assert applied[2:] == [(4, +1, (27, 27))]
 
 
 def test_conjugation_law_majorana_case():
@@ -285,6 +295,32 @@ def test_compose_braid_basics():
     assert compose_braid(rep, BraidWord.from_text("2 -2")).max_diff(eye) < 1e-12
     with pytest.raises(IndexError):
         compose_braid(rep, BraidWord.from_text("7"))
+
+
+def test_apply_range_check_never_wraps():
+    rep = BraidRepresentation.from_fzc(3, 2, 0, +1)
+    block = np.eye(9)
+    for i in (0, -1, 4):
+        for exp in (+1, -1):
+            with pytest.raises(IndexError, match="out of range 1..3"):
+                rep.apply(i, exp, block)
+
+
+@pytest.mark.parametrize("d,n_pairs", [(d, 2) for d in range(2, 6)] + [(d, 3) for d in range(2, 5)])
+def test_apply_matches_dense_generators(d, n_pairs):
+    # U_i**(+-1) on a random block equals the dense Kronecker-product U_i (or its adjoint)
+    # times the block, at every FZC point, and compose_braid equals the dense products
+    rng = np.random.default_rng(10 * d + n_pairs)
+    dim = d ** n_pairs
+    block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    letters = [(i, e) for i in range(1, 2 * n_pairs) for e in (+1, -1)]
+    for params in all_fzc_params(d):
+        rep = BraidRepresentation.from_fzc(d, n_pairs, params.r, params.sign)
+        for i, e in letters:
+            u = kron_braid_generator(rep, i)
+            assert np.max(np.abs(rep.apply(i, e, block) - (u if e > 0 else u.conj().T) @ block)) < 1e-12
+        word = BraidWord(tuple(letters[k] for k in rng.integers(len(letters), size=6)))
+        assert compose_braid(rep, word).max_diff(dense_compose_braid(rep, word)) < 1e-12
 
 
 def test_compose_braid_order_convention():

@@ -1,12 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from parabraid import cli, encoding
-from parabraid.braiding import BraidWord
+from parabraid.braiding import BraidRepresentation, BraidWord, canonical_word
 from parabraid.cli import main
 from parabraid.clifford import ClosureResult
 from parabraid.report import load_schema, markdown_summary, validate_schema
+from parabraid.systems import DenseOperator
 
 
 def run_cli(argv):
@@ -128,19 +130,39 @@ def test_gates_malformed_word_is_usage_error():
 
 
 def test_gates_composes_the_braid_once(monkeypatch):
-    # the leakage check and the expected-gate match reuse identify_gate's restriction
-    calls = []
-    original = encoding.compose_braid
+    # identify_gate applies each letter once, to the 9 code columns of the 81-dim register, and
+    # the leakage check and the expected-gate match reuse that restriction
+    applied = []
+    original = BraidRepresentation.apply
 
-    def counting(rep, word):
-        calls.append(word)
-        return original(rep, word)
+    def counting(self, i, exp, block):
+        applied.append((i, exp, block.shape))
+        return original(self, i, exp, block)
 
-    monkeypatch.setattr(encoding, "compose_braid", counting)
+    monkeypatch.setattr(BraidRepresentation, "apply", counting)
     report, payload = cli.cmd_gates(3, 0, "S")
-    assert len(calls) == 1
+    assert applied == [(i, exp, (81, 9)) for i, exp in canonical_word("S").entries]
     assert [c.name for c in report.checks] == ["leakage", "gate_identified", "matches_expected_gate"]
     assert report.passed and payload["gate"] == "CX^1"
+
+
+def test_gates_build_no_register_sized_dense_operator(monkeypatch):
+    # at d = 5 the two-qudit register has D = 625: the encoding's checks and the gates suite
+    # act on its 25 code columns and build dense operators on the logical space alone
+    dims = []
+    original = DenseOperator.__init__
+
+    def recording(self, mat, d, n):
+        dims.append(np.shape(mat)[0])
+        original(self, mat, d, n)
+
+    monkeypatch.setattr(DenseOperator, "__init__", recording)
+    encoding.build_encoding(5, 2)
+    report, payload = cli.cmd_gates(5, 0, "S")
+    assert report.passed and payload["gate"] == "CX^3"
+    assert dims and max(dims) == 25
+    encoding.build_encoding(5, 2).rep.generator(1)  # the recorder does see a D x D build
+    assert dims[-1] == 625
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
@@ -170,8 +192,8 @@ def test_entangling_suite_runs_on_tableaux(monkeypatch, d):
         names += ["controlled_shift_leakage", "odd_d_controlled_shift"]
     assert [c.name for c in report.checks] == names  # the parity table runs at every d
     assert report.passed
-    cli.cmd_gates(2, 0, "F")  # the counters do see the dense path
-    assert {"build_encoding", "BraidRepresentation", "compose_braid"} <= set(calls)
+    cli.cmd_gates(2, 0, "F")  # the counters do see the restriction path
+    assert {"build_encoding", "BraidRepresentation", "restrict_word"} <= set(calls)
 
 
 def test_entangling_suite_flags_a_leaking_word(monkeypatch):

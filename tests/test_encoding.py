@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parabraid.braiding import BraidWord, braid_tableau, canonical_word, compose_braid, diagonal_phases
+from parabraid.braiding import BraidWord, braid_tableau, canonical_word, diagonal_phases
 from parabraid.clifford import PauliLabel, clifford_membership
 from parabraid.constraints import FZCParams, dft_prefactor
 from parabraid.encoding import (
@@ -17,14 +17,15 @@ from parabraid.encoding import (
     entangling_words,
     identify_gate,
     logical_tableau,
+    gate_dictionary,
     parity_conjugation_table,
-    restrict,
     restrict_word,
 )
 from parabraid.parafermions import build_parafermions, parity
 from parabraid.systems import controlled_phase, controlled_shift, equal_up_to_phase, fourier_gate
 
-from oracles import dense_braid_tableaux
+from oracles import dense_braid_tableaux, dense_compose_braid, dense_restrict_words, gate_dictionary_list, \
+    identify_in_list, restrict
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
@@ -231,15 +232,16 @@ def test_leakage_error_on_non_preserving_word():
 
 
 def test_leakage_matches_projector_oracle():
-    # leakage is max|(I - E Edag) A E|; here the projector is built explicitly
+    # leakage is max|(I - E Edag) U E|; here the projector and U are built explicitly
     enc = build_encoding(3, 2, r=0)
     e = enc.isometry
-    complement = np.eye(enc.full_dim) - e @ e.conj().T
+    complement = np.eye(e.shape[0]) - e @ e.conj().T
     leaky = BraidWord.from_text("4")
     for word in [leaky, *entangling_words(3).values()]:
-        op = compose_braid(enc.rep, word)
-        _, leakage = restrict(enc, op)
+        op = dense_compose_braid(enc.rep, word)
+        _, leakage = restrict_word(enc, word)
         assert abs(leakage - float(np.max(np.abs(complement @ op.mat @ e)))) < 1e-12
+        assert abs(leakage - restrict(enc, op)[1]) < 1e-12
         assert (leakage > 1e-3) == (word == leaky)
 
 
@@ -326,8 +328,8 @@ def test_braid_generator_tableaux_build_no_dense_object(monkeypatch):
     braid_generator_tableaux(3, 1)
     braid_generator_tableaux(4, 2, 1, -1)
     assert calls == []
-    encoding.build_encoding(2, 1)  # the counters do see the dense path
-    assert {"BraidRepresentation", "build_encoding", "to_matrix"} <= set(calls)
+    braiding.conjugation_action(encoding.build_encoding(2, 1).rep, 1)  # the counters see a dense path
+    assert {"BraidRepresentation", "build_encoding", "to_matrix", "matmul"} <= set(calls)
 
 
 def test_code_layout_needs_whole_quadruplets():
@@ -387,3 +389,70 @@ def test_random_words_exact_restriction_matches_dense(case):
         return
     assert leakage <= LEAKAGE_TOL
     assert exact == clifford_membership(restricted)
+
+
+def oracle_grid_words(d, n_logical):
+    """The canonical words of the register (F on one qudit; S, S_dagger, T and at odd d the CX
+    word on two), then 20 seeded random words of 1..8 letters with inverse letters; at two
+    qudits most random words hold the leaking exchange U_4."""
+    words = list(entangling_words(d).values()) if n_logical == 2 else [canonical_word("F")]
+    rng = np.random.default_rng(1000 * d + n_logical)
+    for length in rng.integers(1, 9, size=20):
+        letters = zip(rng.integers(1, 4 * n_logical, size=length), rng.choice((-1, 1), size=length))
+        words.append(BraidWord(tuple((int(i), int(e)) for i, e in letters)))
+    return words
+
+
+@pytest.mark.parametrize("n_logical", (1, 2))
+@pytest.mark.parametrize("d", range(2, 7))
+def test_restrict_word_and_identify_gate_match_dense_oracle(d, n_logical):
+    # the column path against dense products at every FZC point: the restriction to 1e-12, and
+    # the gate name and phase exponent against a scan of the whole dictionary; a leaking word
+    # makes identify_gate raise.  The canonical words run at every (r, sign), each random word
+    # at one seeded (r, sign).
+    words = oracle_grid_words(d, n_logical)
+    n_canonical = len(words) - 20
+    points = [(r, sign) for r in range(d) for sign in (+1, -1)]
+    chosen = np.random.default_rng(d + 10 * n_logical).integers(len(points), size=20)
+    leaked = 0
+    for k, (r, sign) in enumerate(points):
+        enc = build_encoding(d, n_logical, r=r, sign=sign)
+        batch = words[:n_canonical] + [w for w, c in zip(words[n_canonical:], chosen) if c == k]
+        if k == 0 or n_logical == 1:  # only the one-qudit list holds an (r, sign)-dependent gate
+            candidates = gate_dictionary_list(enc)
+        for word, (dense, dense_leak) in zip(batch, dense_restrict_words(enc, batch)):
+            restricted, leakage = restrict_word(enc, word)
+            assert restricted.max_diff(dense) <= 1e-12 and abs(leakage - dense_leak) <= 1e-12
+            if dense_leak > LEAKAGE_TOL:
+                leaked += 1
+                with pytest.raises(ValueError, match="leaks"):
+                    identify_gate(enc, word)
+                continue
+            gate = identify_gate(enc, word)
+            phase = None if gate.phase_exact is None else gate.phase_exact.num
+            assert (gate.name, phase) == identify_in_list(dense, candidates, d), (word, r, sign)
+    assert leaked > 0 if n_logical == 2 else leaked == 0
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_gate_dictionary_yields_the_whole_list_in_order(d):
+    for n_logical in (1, 2):
+        enc = build_encoding(d, n_logical)
+        lazy, whole = list(gate_dictionary(enc)), gate_dictionary_list(enc)
+        assert [name for name, _ in lazy] == [name for name, _ in whole]
+        assert all(a.mat.tobytes() == b.mat.tobytes() for (_, a), (_, b) in zip(lazy, whole))
+
+
+def test_identify_gate_stops_at_the_first_match(monkeypatch):
+    from parabraid import encoding
+
+    built = []
+    original = encoding.pauli_monomial
+    monkeypatch.setattr(encoding, "pauli_monomial", lambda *args: built.append(args) or original(*args))
+    enc = build_encoding(5, 2)
+    assert identify_gate(enc, canonical_word("S")).name == "CX^3"
+    assert built == []  # CX^3 precedes every Pauli
+    assert identify_gate(enc, BraidWord.from_text("1")).name == "unknown"
+    assert len(built) == 5 ** 4 - 1
+    with pytest.raises(ValueError, match="1 or 2 logical qudits"):
+        next(gate_dictionary(build_encoding(2, 3)))
