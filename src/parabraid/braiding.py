@@ -29,13 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import CoefficientVector, FZCParams, fzc_coefficients, unitarity_residual
-from .clifford import CliffordTableau, PauliLabel, _times_power, symplectic_product
+from .constraints import CoefficientVector, FZCParams, dft_prefactor, fzc_coefficients
+from .clifford import CliffordTableau, _times_power, symplectic_product
 from .parafermions import ParafermionSystem, build_parafermions, parity_eigenbasis, parity_label
 from .phases import CyclotomicPhase, phase_from_complex
 from .systems import DenseOperator, embed_vector, equal_up_to_phase
 
-COEFF_TOL = 1e-9
 BUILD_TOL = 1e-12
 
 
@@ -151,45 +150,20 @@ class BraidRepresentation:
                  fzc: FZCParams | None = None):
         if coefficients.d != system.d:
             raise ValueError("coefficient vector dimension does not match the system")
-        defect = unitarity_residual(coefficients)
-        if defect > COEFF_TOL:
-            raise ValueError(f"non-unitary coefficients: residual {defect:.3e}")
+        system.parity_products  # raises, once per register, unless its parity algebra holds
+        # check_representation's residuals at s = 1; X**s is X relabelled by k -> s k, so the
+        # Gram defect does not depend on s, and a NaN defect fails too
+        self.weyl_residuals = _weyl_residuals(coefficients.c, 1)
+        if not self.weyl_residuals[0] <= BUILD_TOL:
+            raise ValueError(f"U_i not unitary: defect {self.weyl_residuals[0]:.3e}")
         self.system = system
         self.coefficients = coefficients
         self.fzc = fzc
-        self.parity_products = self._validate()
 
     @classmethod
     def from_fzc(cls, d: int, n_pairs: int, r: int = 0, sign: int = +1) -> "BraidRepresentation":
         params = FZCParams(d, r, sign)
         return cls(build_parafermions(d, n_pairs), fzc_coefficients(params), fzc=params)
-
-    def _validate(self) -> np.ndarray:
-        """Raise unless check_representation's d x d reduction holds and the U_i are local and
-        unitary; return the exact symplectic products sp(Lambda_i, Lambda_j)."""
-        sys_, d = self.system, self.system.d
-        identity = PauliLabel.identity(d, sys_.n_pairs)
-        for i, lam in enumerate(sys_.parities, start=1):
-            if lam ** d != identity:
-                raise ValueError(f"Lambda_{i}**d is not the identity")
-        lams = [lam.vector() for lam in sys_.parities]
-        parity_products = symplectic_product(lams, lams, d)
-        for i, s in enumerate(np.diagonal(parity_products, offset=1), start=1):
-            if math.gcd(int(s), d) != 1:
-                raise ValueError(f"Lambda_{i} Lambda_{i + 1} = omega**{s} Lambda_{i + 1} Lambda_{i}, "
-                                 f"and {s} is not coprime to d = {d}")
-        # U_i is a polynomial in Lambda_i, so it commutes with gamma_j whenever
-        # Lambda_i does, for any coefficients: a zero symplectic product.
-        products = symplectic_product(lams, [g.vector() for g in sys_.labels], d)
-        for i, row in enumerate(products, start=1):
-            far = [j for j in np.flatnonzero(row) + 1 if j not in (i, i + 1)]
-            if far:
-                raise ValueError(f"U_{i} fails to commute with gamma_{far[0]}")
-        # X**s is X relabelled by k -> s k, so the defect does not depend on s
-        defect, _ = _weyl_residuals(self.coefficients.c, 1)
-        if defect > BUILD_TOL:
-            raise ValueError(f"U_i not unitary: defect {defect:.3e}")
-        return parity_products
 
     def apply(self, i: int, exp: int, block: np.ndarray) -> np.ndarray:
         """U_i**exp @ block, U_i = sum_m c_m Lambda_i**m / sqrt(d): d scatters of block's rows
@@ -212,12 +186,19 @@ class BraidRepresentation:
         return DenseOperator(self.apply(i, +1, eye), self.system.d, self.system.n_pairs)
 
 
+def _fourier_phases(c: np.ndarray) -> np.ndarray:
+    """c_hat_k = sum_m c_m omega**(k m) / sqrt(d): U(Z) = sum_m c_m Z**m / sqrt(d) on |k>."""
+    d = len(c)
+    k = np.arange(d)
+    return np.exp(2j * np.pi * np.outer(k, k) / d) @ c / math.sqrt(d)
+
+
 def _weyl_residuals(c: np.ndarray, s: int) -> tuple[float, float]:
     """Max-norm Gram defect and Yang-Baxter residual of U(A) = sum_m c_m A**m / sqrt(d) on the
     d x d clock-shift pair A = Z, X**s, where Z X**s = omega**s X**s Z (s coprime to d)."""
     d = len(c)
     k = np.arange(d)
-    ua = np.diag(np.exp(2j * np.pi * np.outer(k, k) / d) @ c) / math.sqrt(d)
+    ua = np.diag(_fourier_phases(c))
     ub = np.zeros((d, d), dtype=complex)
     ub[(k + s * k[:, None]) % d, k] = c[:, None] / math.sqrt(d)  # X**(s m) takes k to k + s m
     unitarity = max(float(np.max(np.abs(u @ u.conj().T - np.eye(d)))) for u in (ua, ub))
@@ -265,17 +246,19 @@ def check_representation(rep: BraidRepresentation) -> RepresentationReport:
     """Residuals of the braid-group relations, with no matrix larger than d x d.
 
     Adjacent parities satisfy Lambda**d = 1 and Lambda_i Lambda_(i+1) = omega**s Lambda_(i+1)
-    Lambda_i with s coprime to d (checked at construction), so they generate a copy of M_d(C)
+    Lambda_i with s coprime to d (system.parity_products), so they generate a copy of M_d(C)
     (Weyl 1928; Schwinger, "Unitary operator bases", PNAS 1960): unitarity and Yang-Baxter hold
-    on the register iff they hold on the clock-shift pair (Z, X**s).  Locality, and with it far
-    commutativity, is exact at construction; `overall_parity` counts the parities whose
-    symplectic product with Lambda_1 Lambda_3 ... is nonzero.  Needs n_pairs >= 2.
+    on the register iff they hold on the clock-shift pair (Z, X**s), kept at construction for
+    s = 1 and evaluated here for any other s.  Locality, and with it far commutativity, is exact
+    (system.parity_products); `overall_parity` counts the parities whose symplectic product with
+    Lambda_1 Lambda_3 ... is nonzero.  Needs n_pairs >= 2.
     """
     sys_ = rep.system
     if sys_.n_pairs < 2:
         raise ValueError("need n_pairs >= 2 for the braid relation checks")
-    products = rep.parity_products
-    residuals = [_weyl_residuals(rep.coefficients.c, s) for s in set(np.diagonal(products, offset=1))]
+    products = sys_.parity_products
+    residuals = [rep.weyl_residuals if s == 1 else _weyl_residuals(rep.coefficients.c, s)
+                 for s in set(np.diagonal(products, offset=1))]
     unit, yb = (max(column) for column in zip(*residuals))
     # sp is bilinear, so a row sum over Lambda_1, Lambda_3, ... is the product with their product
     moved = np.count_nonzero(products[:, ::2].sum(axis=1) % sys_.d)
@@ -330,9 +313,10 @@ class DiagonalPhases:
 
     phases[k] is the inverse DFT (1/sqrt(d)) sum_m c_m omega**(k*m); U_i
     multiplies the parity eigenvector |k> by phases[k].  For the + sign
-    quadratic-phase family the prefactor identity
-    phases[k] = conj(c_k) * phases[0] holds with the exact closed form for
-    phases[0], and both residuals are reported.
+    quadratic-phase family the identity phases[k] = conj(c_k) * phases[0]
+    holds with phases[0] the closed form dft_prefactor: `prefactor` is the
+    measured phases[0] quantized into the 8d ring (None off it), and both
+    residuals are reported, the second against the closed form.
     """
 
     phases: np.ndarray
@@ -347,8 +331,7 @@ def diagonal_phases(rep: BraidRepresentation, i: int = 1) -> DiagonalPhases:
         raise ValueError("diagonal form uses the odd-index parity eigenbasis")
     d = rep.system.d
     c = rep.coefficients.c
-    om = np.exp(2j * np.pi * np.arange(d) / d)
-    phases = np.array([np.sum(c * om ** k) for k in range(d)]) / math.sqrt(d)
+    phases = _fourier_phases(c)
 
     basis = parity_eigenbasis(rep.system, i)
     full = np.column_stack([embed_vector(rep.system.system, basis.qudit, basis.vector(k))
@@ -358,9 +341,6 @@ def diagonal_phases(rep: BraidRepresentation, i: int = 1) -> DiagonalPhases:
     if rep.fzc is None or rep.fzc.sign != +1:
         return DiagonalPhases(phases, worst)
 
-    from .constraints import dft_prefactor
-
-    pref = dft_prefactor(rep.fzc)
-    pref_residual = abs(phases[0] - pref.as_complex())
+    pref_residual = abs(phases[0] - dft_prefactor(rep.fzc).as_complex())
     relation = float(np.max(np.abs(phases - np.conj(c) * phases[0])))
-    return DiagonalPhases(phases, worst, pref, relation, pref_residual)
+    return DiagonalPhases(phases, worst, phase_from_complex(phases[0], d), relation, pref_residual)

@@ -114,7 +114,7 @@ def cmd_fzc(d: int) -> RunReport:
             dp = diagonal_phases(b, 1)
             dft_res = max(dft_res, dp.relation_residual, dp.prefactor_residual,
                           dp.eigenbasis_residual)
-            if dp.prefactor.num != (-4 * r * (r + d) + d * (1 - d)) % (8 * d):
+            if dp.prefactor is None or dp.prefactor.num != (-4 * r * (r + d) + d * (1 - d)) % (8 * d):
                 dft_bad += 1
     out.add(Check("braid_relations", matrix_res, 1e-10))
     out.add(Check("overall_parity_conserved", parity_res, 1e-12))

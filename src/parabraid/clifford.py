@@ -69,8 +69,7 @@ class PauliLabel:
         )
 
     def __pow__(self, k: int) -> "PauliLabel":
-        if k < 0:
-            return self.inverse() ** (-k)
+        # (X^x Z^z)^k = omega^(zx k(k-1)/2) X^kx Z^kz for every integer k, negative ones too
         zx = sum(a * b for a, b in zip(self.z, self.x))
         return PauliLabel(
             self.d, self.n,
@@ -80,14 +79,8 @@ class PauliLabel:
         )
 
     def inverse(self) -> "PauliLabel":
-        zx = sum(a * b for a, b in zip(self.z, self.x))
-        # (X^x Z^z)^-1 = Z^-z X^-x = omega^(z*x) X^-x Z^-z.
-        return PauliLabel(
-            self.d, self.n,
-            -self.phase + 2 * zx,
-            tuple(-v for v in self.x),
-            tuple(-v for v in self.z),
-        )
+        # (X^x Z^z)^-1 = Z^-z X^-x = omega^(z*x) X^-x Z^-z, the power law at k = -1.
+        return self ** -1
 
     def vector(self) -> tuple[int, ...]:
         return self.x + self.z

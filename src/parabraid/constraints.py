@@ -105,7 +105,7 @@ def gauge_fix(vec: CoefficientVector) -> tuple[CoefficientVector, int]:
 
 @lru_cache(maxsize=None)
 def _residual_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables of both residuals for one d, built on first use and read-only."""
+    """Index tables of both residuals and the solver's forms for one d: built on first use, read-only."""
     idx = np.arange(d)
     plus = (idx[:, None] + idx[None, :]) % d                   # [r, m] -> (m + r) mod d
     diff = (idx[:, None] - idx[None, :]) % d                   # [k, r] -> (k - r) mod d

@@ -51,6 +51,33 @@ class ParafermionSystem:
         return QuditSystem(self.d, self.n_pairs)
 
     @cached_property
+    def parity_products(self) -> np.ndarray:
+        """Read-only exact symplectic products sp(Lambda_i, Lambda_j), checked on first use: raises
+        ValueError unless every Lambda_i**d = 1, every adjacent s in Lambda_i Lambda_(i+1) =
+        omega**s Lambda_(i+1) Lambda_i is coprime to d, and every Lambda_i commutes with each
+        gamma_j outside its pair, as every braid representation on the register assumes."""
+        d = self.d
+        identity = PauliLabel.identity(d, self.n_pairs)
+        for i, lam in enumerate(self.parities, start=1):
+            if lam ** d != identity:
+                raise ValueError(f"Lambda_{i}**d is not the identity")
+        lams = [lam.vector() for lam in self.parities]
+        products = symplectic_product(lams, lams, d)
+        for i, s in enumerate(np.diagonal(products, offset=1), start=1):
+            if np.gcd(s, d) != 1:
+                raise ValueError(f"Lambda_{i} Lambda_{i + 1} = omega**{s} Lambda_{i + 1} Lambda_{i}, "
+                                 f"and {s} is not coprime to d = {d}")
+        # U_i is a polynomial in Lambda_i, so it commutes with gamma_j whenever
+        # Lambda_i does, for any coefficients: a zero symplectic product.
+        local = symplectic_product(lams, [g.vector() for g in self.labels], d)
+        for i, row in enumerate(local, start=1):
+            far = [j for j in np.flatnonzero(row) + 1 if j not in (i, i + 1)]
+            if far:
+                raise ValueError(f"U_{i} fails to commute with gamma_{far[0]}")
+        products.setflags(write=False)
+        return products
+
+    @cached_property
     def parity_powers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per parity, the monomial_support rows and roots of Lambda_i**m, m < d, each [d, dim].
 

@@ -56,6 +56,7 @@ import numpy as np
 
 from .constraints import (
     CoefficientVector,
+    _residual_tables,
     gauge_fix,
     trivial_vector,
     unitarity_residuals,
@@ -125,10 +126,7 @@ def _packed(form: np.ndarray, monomials: list[tuple[int, ...]]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _tables(d: int) -> _Tables:
     n = 2 * d
-    idx = np.arange(d)
-    plus = (idx[None, :] + idx[:, None]) % d          # [r, j] -> (j + r) mod d
-    diff = (idx[:, None] - idx[None, :]) % d          # [a, b] -> (a - b) mod d
-    wmat = np.exp(2j * np.pi * idx / d)[(idx[:, None] * idx[None, :]) % d]  # omega**(m r)
+    plus, diff, wmat = _residual_tables(d)  # (j + r), (a - b) mod d and omega**(m r)
     e = np.hstack([np.eye(d), 1j * np.eye(d)])        # c = e @ u, as c = a + i b
     # the complex components as multilinear forms in u, one slot per factor:
     # unitarity sum_j c_j conj(c_{j+r}); Yang-Baxter S[k, m] c_m - S[m, k] c_k

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from parabraid import braiding, parafermions
 from parabraid.braiding import (
     CANONICAL_WORD_ENTRIES,
     CANONICAL_WORD_TEXTS,
@@ -17,7 +18,7 @@ from parabraid.braiding import (
 )
 from parabraid.clifford import PauliLabel, clifford_membership
 from parabraid.constraints import CoefficientVector, FZCParams, all_fzc_params, d4_family, \
-    fzc_coefficients, trivial_vector
+    dft_prefactor, fzc_coefficients, trivial_vector
 from parabraid.parafermions import (build_parafermions, check_defining_relations, check_parity_algebra,
                                     parity)
 from parabraid.phases import CyclotomicPhase
@@ -69,6 +70,38 @@ def test_generator_parity_commutation():
 def test_non_unitary_coefficients_rejected():
     with pytest.raises(ValueError):
         BraidRepresentation(build_parafermions(3, 2), CoefficientVector(3, [1, 1, 1]))
+    with pytest.raises(ValueError, match="not unitary"):
+        BraidRepresentation(build_parafermions(2, 2), CoefficientVector(2, [1, np.nan]))
+
+
+def test_register_parity_algebra_checked_once(monkeypatch):
+    # the 2d representations on one register share its parity symplectic matrix: the
+    # products of the 5 parities with themselves are computed once, not once per vector
+    d = 3
+    system = build_parafermions(d, 3)
+    calls = []
+    original = parafermions.symplectic_product
+
+    def counting(u, v, modulus):
+        calls.append((len(u), len(v)))
+        return original(u, v, modulus)
+
+    for module in (parafermions, braiding):
+        monkeypatch.setattr(module, "symplectic_product", counting)
+    for params in all_fzc_params(d):
+        check_representation(BraidRepresentation(system, fzc_coefficients(params), fzc=params))
+    assert calls.count((5, 5)) == 1
+
+
+def test_check_representation_reuses_the_construction_residuals(monkeypatch):
+    # on a Jordan-Wigner register every adjacent s is 1, the exponent evaluated at construction
+    rep = BraidRepresentation.from_fzc(4, 3, 1, +1)
+    calls = []
+    original = braiding._weyl_residuals
+    monkeypatch.setattr(braiding, "_weyl_residuals", lambda c, s: calls.append(s) or original(c, s))
+    report = check_representation(rep)
+    assert calls == []
+    assert (report.unitarity, report.yang_baxter) == rep.weyl_residuals
 
 
 @pytest.mark.parametrize("d,n_pairs", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (5, 3),
@@ -271,6 +304,20 @@ def test_diagonal_phases_closed_form():
             assert dp.prefactor_residual < 1e-12
             assert dp.eigenbasis_residual < 1e-12
             assert dp.prefactor.num == (-4 * r * (r + d) + d * (1 - d)) % (8 * d)
+            # the DFT as a matmul, against the sum over m written out per k
+            c, om = rep.coefficients.c, np.exp(2j * np.pi * np.arange(d) / d)
+            loop = np.array([np.sum(c * om ** k) for k in range(d)]) / np.sqrt(d)
+            assert np.max(np.abs(dp.phases - loop)) <= 1e-14
+
+
+def test_diagonal_prefactor_is_measured():
+    # the r = 1 vector labelled r = 0: the measured phases[0] is the r = 1 prefactor, not the label's
+    params = FZCParams(3, 0)
+    rep = BraidRepresentation(build_parafermions(3, 2), fzc_coefficients(FZCParams(3, 1)), fzc=params)
+    dp = diagonal_phases(rep, 1)
+    assert dp.prefactor.num == 2
+    assert dft_prefactor(params).num == 18
+    assert dp.prefactor_residual > 1e-12
 
 
 def test_diagonal_phases_match_eigendecomposition_oracle():

@@ -7,6 +7,7 @@ from parabraid import cli, encoding
 from parabraid.braiding import BraidRepresentation, BraidWord, canonical_word
 from parabraid.cli import main
 from parabraid.clifford import ClosureResult
+from parabraid.constraints import FZCParams, fzc_coefficients
 from parabraid.report import load_schema, markdown_summary, validate_schema
 from parabraid.systems import DenseOperator
 
@@ -352,3 +353,12 @@ def test_schema_validator_flags_violations():
     bad = {"version": "0.1.0", "d_max": 2, "seed": 0, "suites": [], "all_passed": True,
            "bogus": 1}
     assert any("unexpected property" in e for e in validate_schema(bad, schema))
+
+
+def test_fzc_counts_a_measured_prefactor_off_the_closed_form(monkeypatch):
+    # each vector is the one at r + 1; at d = 3 the prefactors at r = 1 and 2 coincide, so
+    # 2 of the 3 + sign vectors measure a prefactor off their label's closed form
+    monkeypatch.setattr(cli, "fzc_coefficients",
+                        lambda params: fzc_coefficients(FZCParams(params.d, params.r + 1, params.sign)))
+    checks = {check.name: check for check in cli.cmd_fzc(3).checks}
+    assert checks["dft_prefactor_exact"].value == 2

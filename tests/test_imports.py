@@ -7,10 +7,11 @@ it is read anywhere in the module (as a bare name or as the base of an
 attribute access).  The package ``__init__`` is exempt: its imports are the
 public re-exports.
 
-A function, class or method defined in the package counts as used when its
-name is read somewhere under src/, tests/ or perfbench/: as a bare name, as
-an attribute, or as a whole string constant (perfbench looks functions up
-by name).  Importing a name is not a use.  Dunder methods are exempt.
+A function, class, method or module-level name assigned in the package
+counts as used when its name is read somewhere under src/, tests/ or
+perfbench/: as a bare name, as an attribute, or as a whole string constant
+(perfbench looks functions up by name).  Importing or assigning a name is
+not a use.  Dunder names are exempt.
 """
 
 import ast
@@ -49,28 +50,36 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(source) == ["line 1: math", "line 3: path"]
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(source: str) -> list[tuple[int, str]]:
-    """(line, qualified name) of every non-dunder function, class and method."""
-    out = []
+    """(line, qualified name) of every non-dunder function, class, method and module-level
+    assigned name."""
+    tree = ast.parse(source)
+    out = [(node.lineno, node.id) for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+           for node in ast.walk(stmt)
+           if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and not is_dunder(node.id)]
 
     def visit(node: ast.AST, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (child.name.startswith("__") and child.name.endswith("__")):
+                if not is_dunder(child.name):
                     out.append((child.lineno, prefix + child.name))
                 visit(child, f"{prefix}{child.name}.")
             else:
                 visit(child, prefix)
 
-    visit(ast.parse(source), "")
-    return out
+    visit(tree, "")
+    return sorted(out)
 
 
 def referenced_names(sources) -> set[str]:
     names = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -110,3 +119,17 @@ def test_checker_flags_a_dead_definition():
     referenced = referenced_names([source, caller])
     assert dead_definitions(source, referenced) == ["line 4: Box.unused", "line 6: orphan"]
     assert "sep" not in referenced
+
+
+def test_checker_flags_a_dead_module_name():
+    source = (
+        "__version__ = '1'\n"
+        "TOL = 1e-9\n"
+        "LIMIT: int = 3\n"
+        "STALE = 2\n"
+        "LOW, HIGH = 0, 1\n"
+        "def bound(): return LIMIT + LOW\n"
+    )
+    caller = "import mod\nmod.bound(mod.TOL)\n"
+    referenced = referenced_names([source, caller])
+    assert dead_definitions(source, referenced) == ["line 4: STALE", "line 5: HIGH"]

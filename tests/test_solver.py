@@ -415,16 +415,16 @@ def test_missing_minpack_extension_raises_naming_the_scipy_version(tmp_path):
 def test_solver_tables_lazy_and_read_only():
     # nothing is built at import (perfbench's setup_s); the per-d tables of
     # the solver and of the residuals are shared by every caller, so none of
-    # them may be writable
+    # them may be writable, and the solver's forms read the residuals' index tables
     _run_script(
         "import numpy as np, parabraid\n"
-        "from parabraid import solver\n"
+        "from parabraid import constraints, solver\n"
         "assert solver._tables.cache_info().currsize == 0, 'tables built at import'\n"
+        "assert constraints._residual_tables.cache_info().currsize == 0, 'tables built at import'\n"
         "solver.residual_stack(np.ones(6), 3)\n"
         "assert solver._tables.cache_info().currsize == 1\n"
+        "assert constraints._residual_tables.cache_info().currsize == 1\n"
         "assert all(not table.flags.writeable for table in solver._tables(3))\n"
-        "from parabraid import constraints\n"
-        "assert constraints._residual_tables.cache_info().currsize == 0\n"
         "solver.combined_residuals(np.ones((2, 3)))\n"
         "assert all(not table.flags.writeable for table in constraints._residual_tables(3))\n"
     )
