@@ -334,8 +334,7 @@ def diagonal_phases(rep: BraidRepresentation, i: int = 1) -> DiagonalPhases:
     phases = _fourier_phases(c)
 
     basis = parity_eigenbasis(rep.system, i)
-    full = np.column_stack([embed_vector(rep.system.system, basis.qudit, basis.vector(k))
-                            for k in range(d)])
+    full = embed_vector(rep.system.system, basis.qudit, basis.vectors)
     worst = float(np.max(np.abs(rep.apply(i, +1, full) - full * phases)))
 
     if rep.fzc is None or rep.fzc.sign != +1:

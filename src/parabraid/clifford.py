@@ -10,9 +10,9 @@ stored modulo global phase as its conjugation tableau: the images of the
 2n generators X_1..X_n, Z_1..Z_n as two integer arrays, the 2n x 2n
 exponent rows (x|z) mod d and the 2n phase exponents mod 2d.  PauliLabel
 is the user-facing label algebra; every conjugation in the package is the
-one array step _times_power (label rows times a label power), so group
-closures never touch matrices; the closure itself runs as a vectorized
-breadth-first sweep over packed integer keys.
+law of _times_power (label rows times a label power), step by step or, in
+apply_rows, summed in closed form, so group closures never touch matrices;
+the closure runs as a vectorized breadth-first sweep over packed keys.
 """
 
 from __future__ import annotations
@@ -173,14 +173,14 @@ class CliffordTableau:
 
     def __post_init__(self) -> None:
         d, n = self.d, self.n
-        vecs = np.array(self.vecs, dtype=np.int64) % d
-        phases = np.array(self.phases, dtype=np.int64) % (2 * d)
+        vecs = np.asarray(self.vecs, dtype=np.int64) % d
+        phases = np.asarray(self.phases, dtype=np.int64) % (2 * d)
         if vecs.shape != (2 * n, 2 * n) or phases.shape != (2 * n,):
             raise ValueError(f"expected {2 * n} generator images")
-        if not np.array_equal(symplectic_product(vecs, vecs, d), _symplectic_form(n) % d):
+        if (symplectic_product(vecs, vecs, d) != _symplectic_form(n) % d).any():
             raise ValueError("images violate the symplectic condition")
-        zx = np.sum(vecs[:, :n] * vecs[:, n:], axis=1)
-        if np.any((d * phases + zx * d * (d - 1)) % (2 * d)):
+        # the d-th power's phase d * (p + (z.x)(d - 1)) vanishes mod 2d iff p + (z.x)(d - 1) is even
+        if ((phases + (vecs[:, :n] * vecs[:, n:]).sum(axis=1) * (d - 1)) % 2).any():
             raise ValueError("an image's d-th power is not the identity")
         for name, arr in (("vecs", vecs), ("phases", phases)):
             arr.setflags(write=False)
@@ -204,12 +204,13 @@ class CliffordTableau:
 
     def apply_rows(self, vecs: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Images of the labels with exponent rows `vecs` (x|z) and phase exponents `phases`:
-        exp(i*pi*p/d) prod_c P_c**k_c maps to exp(i*pi*p/d) prod_c image_c**k_c."""
-        acc = np.zeros_like(vecs)
-        for col in range(2 * self.n):
-            acc, phases = _times_power(acc, phases, vecs[:, col], self.vecs[col],
-                                       self.phases[col], self.d)
-        return acc, phases
+        exp(i*pi*p/d) prod_c P_c**k_c maps to exp(i*pi*p/d) prod_c image_c**k_c, in closed form:
+        _times_power's phase per image_c**k_c, and 2 k_b k_c (z_b . x_c) per earlier image b < c."""
+        n, images = self.n, self.vecs
+        zx = images[:, n:] @ images[:, :n].T  # [b, c]: z_b . x_c
+        phases = (phases + vecs @ self.phases + (vecs * (vecs - 1)) @ zx.diagonal()
+                  + 2 * ((vecs @ np.triu(zx, 1)) * vecs).sum(axis=1))
+        return vecs @ images % self.d, phases % (2 * self.d)
 
     def apply(self, label: PauliLabel) -> PauliLabel:
         """Image of an arbitrary Pauli label under this conjugation."""

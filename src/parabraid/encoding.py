@@ -22,30 +22,20 @@ omega**(phi/2) X**a Z**b.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice, product
 
 import numpy as np
 
-from .braiding import BraidRepresentation, BraidWord, braid_tableau, canonical_word, diagonal_phases
-from .clifford import CliffordTableau, PauliLabel, _times_power, symplectic_product
+from .braiding import BraidRepresentation, BraidWord, braid_tableau, canonical_word
+from .clifford import CliffordTableau, PauliLabel, _times_power, gate_tableau, symplectic_product
 from .constraints import FZCParams
-from .parafermions import ParafermionSystem, build_parafermions, parity_eigenbasis, parity_label
+from .parafermions import ParafermionSystem, build_parafermions, label_supports, parity_eigenbasis, \
+    parity_label
 from .phases import CyclotomicPhase, phase_from_complex
-from .systems import (
-    DenseOperator,
-    QuditSystem,
-    controlled_phase,
-    controlled_shift,
-    equal_up_to_phase,
-    fourier_gate,
-    monomial_support,
-    pauli_monomial,
-    pauli_x,
-    pauli_z,
-)
+from .systems import DenseOperator, QuditSystem, pauli_x, pauli_z
 
 LEAKAGE_TOL = 1e-10
 ENCODING_TOL = 1e-12
@@ -83,17 +73,17 @@ def build_encoding(d: int, n_logical: int, r: int = 0, sign: int = +1) -> Encodi
 
 def _validate_encoding(enc: Encoding) -> None:
     """Raise unless E is an isometry, Z_L E = E Z_q, X_L E = E X_q and S_q E = E for every q;
-    each parity acts on E's rows as the phased permutation of its monomial_support."""
+    each parity acts on E's rows as the phased permutation of its label_supports row."""
     e, sys_, logical = enc.isometry, enc.rep.system, enc.logical_system
     gram_defect = float(np.max(np.abs(e.conj().T @ e - np.eye(logical.dim))))
     if gram_defect > ENCODING_TOL:
         raise AssertionError(f"encoding columns not orthonormal: {gram_defect:.3e}")
-    for q, labels in enumerate(sys_.code_layout, start=1):
+    rows, roots = label_supports(sys_.system, [label for labels in sys_.code_layout for label in labels])
+    for q in range(1, len(sys_.code_layout) + 1):
         targets = (pauli_z(logical, q).mat, pauli_x(logical, q).mat, np.eye(logical.dim))
-        for label, target in zip(labels, targets):
-            rows, roots = monomial_support(sys_.system, label.x, label.z, label.phase)
+        for c, target in enumerate(targets, start=3 * q - 3):
             image = np.empty_like(e)
-            image[rows] = roots[:, None] * e
+            image[rows[c]] = roots[c][:, None] * e
             defect = float(np.max(np.abs(image - e @ target)))
             if defect > ENCODING_TOL:
                 raise AssertionError(f"qudit {q}: a code parity misses its target on E: {defect:.3e}")
@@ -137,60 +127,69 @@ def logical_tableau(system: ParafermionSystem, physical: CliffordTableau) -> Cli
     return CliffordTableau(d, m, logical[:2 * m], phases[:2 * m])
 
 
+class LeakageError(ValueError):
+    """A braid word moves code states out of the code space, by `leakage`: max|(I - E Edag) U E|."""
+
+    def __init__(self, leakage: float):
+        super().__init__(f"braid word leaks out of the computational subspace: {leakage:.3e}")
+        self.leakage = leakage
+
+
 @dataclass(frozen=True)
 class LogicalGateID:
-    """Result of matching a restricted braid against the gate dictionary."""
+    """A braid word's logical gate and its measured global phase."""
 
     name: str
-    phase: complex | None
     phase_exact: CyclotomicPhase | None
     leakage: float
-    matrix: DenseOperator
 
     def to_json(self, word_text: str) -> dict:
-        return {
-            "word": word_text,
-            "gate": self.name,
-            "phase_exponent_mod_8d": None if self.phase_exact is None else self.phase_exact.num,
-            "leakage": self.leakage,
-        }
+        phase = None if self.phase_exact is None else self.phase_exact.num
+        return {"word": word_text, "gate": self.name, "phase_exponent_mod_8d": phase, "leakage": self.leakage}
 
 
-def gate_dictionary(enc: Encoding) -> Iterator[tuple[str, DenseOperator]]:
-    """Candidate gates, built one at a time in the deterministic order used for identification:
-    the identity, then at one qudit the Paulis, F, F_dagger and the quadratic phase gate, at two
-    qudits the powers of CX and CZ, then the Paulis."""
-    d, sys_, n = enc.d, enc.logical_system, enc.n_logical
-    if n not in (1, 2):
-        raise ValueError(f"the gate dictionary covers 1 or 2 logical qudits, got {n}")
-    yield "identity", DenseOperator.identity(sys_)
-    if n == 2:
-        for name, gate in (("CX", controlled_shift(d)), ("CZ", controlled_phase(d))):
-            for a in range(1, d):
-                yield f"{name}^{a}", gate.power(a)
-    for exps in islice(product(range(d), repeat=2 * n), 1, None):  # the identity is first
-        a, b = exps[0::2], exps[1::2]  # exps = (a_1, b_1, a_2, b_2)
-        yield "@".join(f"X^{x}Z^{z}" for x, z in zip(a, b)), pauli_monomial(sys_, a, b)
-    if n == 1:
-        yield "F", fourier_gate(d)
-        yield "F_dagger", fourier_gate(d).dag()
-        yield "quadratic_phase", DenseOperator(np.diag(diagonal_phases(enc.rep, 1).phases), d, 1)
+def _candidate_tableaux(enc: Encoding) -> Iterator[tuple[str, CliffordTableau, complex]]:
+    """The gates other than the Paulis, one at a time in identification order, with their column 0's
+    entry at row 0: CX**a and CZ**a at two qudits; at one F, F_dagger and the quadratic phase gate
+    diag(c_hat), U_1's restriction, with c_hat_0 = sum_m c_m / sqrt(d)."""
+    d, rep, root = enc.d, enc.rep, 1 / math.sqrt(enc.d)
+    for name in ("CX", "CZ") if enc.n_logical == 2 else ():
+        gate = power = gate_tableau(name, d)
+        for a in range(1, d):
+            yield f"{name}^{a}", power, 1
+            power = gate.compose(power)
+    if enc.n_logical == 1:
+        yield "F", gate_tableau("F", d), root
+        yield "F_dagger", gate_tableau("F", d).inverse(), root
+        u1 = logical_tableau(rep.system, braid_tableau(rep.system, rep.fzc, BraidWord(((1, 1),))))
+        yield "quadratic_phase", u1, rep.coefficients.c.sum() * root
 
 
 def identify_gate(enc: Encoding, word: BraidWord, tol: float = IDENTIFY_TOL) -> LogicalGateID:
-    """Match the restriction of a braid word against the gate dictionary.
+    """Name a braid word's logical gate from its exact tableau, and measure its global phase.
 
-    The braid must preserve the computational subspace; excessive leakage is
-    an error because the restricted matrix would not mean anything.
+    Equal tableaux are equal unitaries modulo phase, so the gate is the first of the identity,
+    CX**a and CZ**a (two qudits), the Paulis, and F, F_dagger and the quadratic phase gate (one
+    qudit) with the word's tableau.  The phase is the restriction's column 0 over the gate's,
+    snapped to the 8d ring.  A leaking word raises LeakageError: its restriction means nothing.
     """
     restricted, leakage = restrict_word(enc, word)
     if leakage > LEAKAGE_TOL:
-        raise ValueError(f"braid word leaks out of the computational subspace: {leakage:.3e}")
-    for name, candidate in gate_dictionary(enc):
-        lam = equal_up_to_phase(restricted, candidate, tol)
-        if lam is not None:
-            return LogicalGateID(name, lam, phase_from_complex(lam, enc.d), leakage, restricted)
-    return LogicalGateID("unknown", None, None, leakage, restricted)
+        raise LeakageError(leakage)
+    d, n, rep = enc.d, enc.n_logical, enc.rep
+    if n not in (1, 2):
+        raise ValueError(f"gate identification covers 1 or 2 logical qudits, got {n}")
+    tab = logical_tableau(rep.system, braid_tableau(rep.system, rep.fzc, word))
+    if np.array_equal(tab.vecs, np.eye(2 * n)):
+        # X**a Z**b sends X_j to omega**b_j X_j and Z_j to omega**(-a_j) Z_j; column 0 is 1 at row a
+        b, a = tab.phases[:n] // 2, -tab.phases[n:] // 2 % d
+        name = "@".join(f"X^{x}Z^{z}" for x, z in zip(a, b)) if tab.phases.any() else "identity"
+        row, entry = enc.logical_system.index(a), 1
+    else:
+        row, (name, _, entry) = 0, next((c for c in _candidate_tableaux(enc) if c[1] == tab),
+                                        ("unknown", None, None))
+    phase = None if entry is None else phase_from_complex(restricted.mat[row, 0] / entry, d, tol)
+    return LogicalGateID(name, phase, leakage)
 
 
 EXPECTED_ENTANGLING_TABLE = {
@@ -249,11 +248,7 @@ def controlled_shift_word(d: int) -> BraidWord:
 
 def entangling_words(d: int) -> dict[str, BraidWord]:
     """The canonical two-qudit braid words, plus the odd-d controlled shift."""
-    words = {
-        "S": canonical_word("S"),
-        "S_dagger": canonical_word("S_dagger"),
-        "T": canonical_word("T"),
-    }
+    words = {name: canonical_word(name) for name in ("S", "S_dagger", "T")}
     if d % 2 == 1:
         words["CX"] = controlled_shift_word(d)
     return words
@@ -268,11 +263,9 @@ def certificate_r(d: int) -> int:
     <P, F>.  That is the whole single-qudit Clifford group modulo phase only
     at odd d and d = 2; at even d >= 4 it is an index-(d/2)**2 subgroup,
     because P**d = Z**(d/2) up to phase leaves 4 of the d**2 Pauli
-    translations.  U1 and U1 U2 U1 alone (the n_logical = 1 set of
-    braid_generator_tableaux) miss the Pauli translations for odd d.  The
-    choice of r matters too: the r = 0 diagonal is the symplectic-lift
-    special point, where even all three exchanges miss the Pauli
-    translations for odd d.
+    translations.  U1 and U1 U2 U1 alone miss them for odd d (see
+    braid_generator_tableaux).  The r = 0 diagonal is the symplectic-lift
+    special point, where even all three exchanges miss them for odd d.
     """
     return d // 2
 

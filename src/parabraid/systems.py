@@ -11,6 +11,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -144,10 +145,11 @@ def embed(system: QuditSystem, i: int, local: np.ndarray) -> DenseOperator:
 
 
 def embed_vector(system: QuditSystem, i: int, local: np.ndarray) -> np.ndarray:
-    """Place a single-qudit vector on qudit i (1-based), |0> on every other qudit."""
+    """Place a single-qudit vector, or a d x m block of them as columns, on qudit i (1-based),
+    |0> on every other qudit."""
     if not 1 <= i <= system.n:
         raise IndexError(f"qudit index {i} out of range 1..{system.n}")
-    ground = np.eye(system.d)[:, 0]
+    ground = np.eye(system.d)[:, 0].reshape((-1,) + (1,) * (np.ndim(local) - 1))
     return kron_all([local if q == i else ground for q in range(1, system.n + 1)])
 
 
@@ -171,18 +173,19 @@ def monomial_support(system: QuditSystem, x_exps, z_exps, phase: int = 0) -> tup
     """Row and entry of each column of exp(i*pi*phase/d) prod_i X_i**x_i Z_i**z_i.
 
     Column k goes to the row with digits k_i + x_i mod d, with the 2d-th
-    root of unity of exponent phase + 2 sum_i z_i k_i mod 2d.
+    root of unity of exponent phase + 2 sum_i z_i k_i mod 2d.  Exponents and
+    phase given as [k, 1] columns describe k monomials, and give [k, dim] stacks.
     """
     d, n, dim = system.d, system.n, system.dim
     if len(x_exps) != n or len(z_exps) != n:
         raise ValueError(f"exponent vectors need length n = {n}, got {len(x_exps)} and {len(z_exps)}")
     cols = np.arange(dim)
-    rows, exps, place = np.zeros_like(cols), np.full_like(cols, phase), dim
+    rows, exps, place = 0 * cols, phase + 0 * cols, dim
     for a, b in zip(x_exps, z_exps):
         place //= d
         digit = cols // place % d
-        rows += (digit + a) % d * place
-        exps += 2 * b * digit
+        rows = rows + (digit + a) % d * place
+        exps = exps + 2 * b * digit
     return rows, np.exp(1j * np.pi * np.arange(2 * d) / d)[exps % (2 * d)]
 
 
@@ -198,6 +201,15 @@ def monomial_diff(a, b, scale: complex = 1) -> float:
     roots_b = scale * roots_b
     return float(np.max(np.where(rows_a == rows_b, np.abs(roots_a - roots_b),
                                  np.maximum(np.abs(roots_a), np.abs(roots_b)))))
+
+
+def monomial_spectrum(a, d: int) -> np.ndarray:
+    """Multiplicity of each eigenvalue omega**k of a monomial_support pair A with A**d = 1: the DFT
+    (1/d) sum_m tr(A**m) omega**(-k m), the powers composed by d - 1 monomial_product gathers."""
+    cols = np.arange(a[0].size)
+    powers = accumulate([a] * (d - 1), monomial_product, initial=(cols, np.ones(cols.size)))
+    traces = [roots[rows == cols].sum() for rows, roots in powers]
+    return np.rint(np.fft.fft(traces).real / d).astype(int)
 
 
 def pauli_monomial(system: QuditSystem, x_exps, z_exps, phase: int = 0) -> DenseOperator:

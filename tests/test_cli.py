@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from parabraid.braiding import BraidRepresentation, BraidWord, canonical_word
 from parabraid.cli import main
 from parabraid.clifford import ClosureResult
 from parabraid.constraints import FZCParams, fzc_coefficients
+from parabraid.parafermions import build_parafermions
 from parabraid.report import load_schema, markdown_summary, validate_schema
 from parabraid.systems import DenseOperator
 
@@ -20,6 +22,24 @@ def test_algebra_pass_and_exit_code(capsys):
     assert run_cli(["algebra", "--d", "3", "--pairs", "2"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] algebra" in out
+
+
+def test_algebra_makes_no_eigvals_call(monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigvals", lambda *args: pytest.fail("eigvals called"))
+    assert run_cli(["algebra", "--d", "6", "--pairs", "4"]) == 0
+    assert "[PASS] algebra" in capsys.readouterr().out
+
+
+def test_algebra_counts_a_squared_parity_as_bad(monkeypatch):
+    # Lambda_1 replaced by Lambda_1**2 at d = 4: its spectrum is 1 and omega**2, eight times each
+    def squared(d, pairs):
+        sys_ = build_parafermions(d, pairs)
+        return dataclasses.replace(sys_, parities=(sys_.parities[0] ** 2,) + sys_.parities[1:])
+
+    monkeypatch.setattr(cli, "build_parafermions", squared)
+    checks = {c.name: c.value for c in cli.cmd_algebra(4, 2).checks}
+    assert checks["parity_spectrum_multiplicity"] == 1
+    assert checks["parity_eigenbasis_action"] > 1e-12
 
 
 def test_usage_error_exit_code():
@@ -145,6 +165,19 @@ def test_gates_composes_the_braid_once(monkeypatch):
     assert applied == [(i, exp, (81, 9)) for i, exp in canonical_word("S").entries]
     assert [c.name for c in report.checks] == ["leakage", "gate_identified", "matches_expected_gate"]
     assert report.passed and payload["gate"] == "CX^1"
+
+
+def test_gates_reports_a_leaking_word_as_failed_checks(tmp_path, capsys):
+    # U_4 exchanges parafermions of two logical qudits: a failed check, not a usage error
+    out = tmp_path / "gates.json"
+    assert run_cli(["gates", "--d", "3", "--braid", "4", "--json", str(out)]) == 1
+    console = capsys.readouterr().out
+    assert "FAIL" in console and "leakage" in console and "gate_identified" in console
+    payload = json.loads(out.read_text())
+    assert payload["gate"] == "unknown" and payload["phase_exponent_mod_8d"] is None
+    assert payload["leakage"] > encoding.LEAKAGE_TOL
+    report, _ = cli.cmd_gates(3, 0, "4")
+    assert {c.name: c.passed for c in report.checks} == {"leakage": False, "gate_identified": False}
 
 
 def test_gates_build_no_register_sized_dense_operator(monkeypatch):

@@ -12,6 +12,9 @@ counts as used when its name is read somewhere under src/, tests/ or
 perfbench/: as a bare name, as an attribute, or as a whole string constant
 (perfbench looks functions up by name).  Importing or assigning a name is
 not a use.  Dunder names are exempt.
+
+Every parameter of a function under src/ is read in its body, nested
+functions and lambdas included; ``self`` and ``cls`` are exempt.
 """
 
 import ast
@@ -133,3 +136,37 @@ def test_checker_flags_a_dead_module_name():
     caller = "import mod\nmod.bound(mod.TOL)\n"
     referenced = referenced_names([source, caller])
     assert dead_definitions(source, referenced) == ["line 4: STALE", "line 5: HIGH"]
+
+
+def unused_parameters(source: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [(node.lineno, f"{getattr(node, 'name', 'lambda')}({a.arg})") for a in params
+                    if a.arg not in read and a.arg not in ("self", "cls")]
+    return [f"line {line}: {name}" for line, name in sorted(out)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_an_unused_parameter():
+    source = (
+        "class Box:\n"
+        "    def size(self, scale): return 2\n"
+        "    @classmethod\n"
+        "    def make(cls, *args, **kwargs): return cls(*args)\n"
+        "def identify(enc, word, tol=1e-9):\n"
+        "    def inner(x): return x + enc + word\n"
+        "    return inner\n"
+        "pick = lambda a, b: a\n"
+    )
+    assert unused_parameters(source) == ["line 2: size(scale)", "line 4: make(kwargs)",
+                                         "line 5: identify(tol)", "line 8: lambda(b)"]

@@ -11,7 +11,8 @@ from parabraid.parafermions import (
     parity,
     parity_eigenbasis,
 )
-from parabraid.systems import DenseOperator, SizeBoundError, pauli_x, pauli_z
+from parabraid.systems import DenseOperator, SizeBoundError, monomial_spectrum, monomial_support, pauli_x, \
+    pauli_z
 
 from oracles import (is_phased_permutation, jordan_wigner_gammas, overall_parity_support,
                      scatter_monomial)
@@ -126,6 +127,19 @@ def test_gamma_monomial_structure():
         assert np.array_equal(scatter_monomial((rows[1], roots[1])), parity(sys_, i).mat)
 
 
+@pytest.mark.parametrize("n_pairs", (1, 2, 3))
+@pytest.mark.parametrize("d", range(2, 8))
+def test_parity_powers_are_the_label_powers(d, n_pairs):
+    # the one stacked monomial_support gives, bit for bit, each label power's own support
+    sys_ = build_parafermions(d, n_pairs)
+    for lam, (rows, roots) in zip(sys_.parities, sys_.parity_powers):
+        assert rows.shape == roots.shape == (d, d ** n_pairs)
+        for m in range(d):
+            power = lam ** m
+            want_rows, want_roots = monomial_support(sys_.system, power.x, power.z, power.phase)
+            assert rows[m].tobytes() == want_rows.tobytes() and roots[m].tobytes() == want_roots.tobytes()
+
+
 @pytest.mark.parametrize("d", range(2, 7))
 def test_parity_closed_forms(d):
     sys_ = build_parafermions(d, 2)
@@ -164,6 +178,30 @@ def test_parity_spectrum_multiplicity(d, n_pairs):
         labels = np.round(np.angle(eigs) * d / (2 * np.pi)).astype(int) % d
         counts = np.bincount(labels, minlength=d)
         assert np.all(counts == d ** (n_pairs - 1))
+
+
+def eigvals_counts(mat, d):
+    labels = np.round(np.angle(np.linalg.eigvals(mat)) * d / (2 * np.pi)).astype(int) % d
+    return np.bincount(labels, minlength=d)
+
+
+@pytest.mark.parametrize("n_pairs", (2, 3))
+@pytest.mark.parametrize("d", range(2, 7))
+def test_monomial_spectrum_matches_eigvals(d, n_pairs):
+    sys_ = build_parafermions(d, n_pairs)
+    for i, lam in enumerate(sys_.parities, start=1):
+        counts = monomial_spectrum(monomial_support(sys_.system, lam.x, lam.z, lam.phase), d)
+        assert counts.tolist() == eigvals_counts(parity(sys_, i).mat, d).tolist(), i
+
+
+@pytest.mark.parametrize("n_pairs", (2, 3))
+def test_monomial_spectrum_of_a_squared_parity(n_pairs):
+    # Lambda_1**2 at d = 4 has the eigenvalues omega**(2k): only 1 and omega**2, twice as often
+    sys_ = build_parafermions(4, n_pairs)
+    lam = sys_.parities[0] ** 2
+    counts = monomial_spectrum(monomial_support(sys_.system, lam.x, lam.z, lam.phase), 4)
+    assert counts.tolist() == [2 * 4 ** (n_pairs - 1), 0, 2 * 4 ** (n_pairs - 1), 0]
+    assert counts.tolist() == eigvals_counts(lam.to_matrix(), 4).tolist()
 
 
 def test_eigenbasis_properties():
