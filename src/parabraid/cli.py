@@ -27,8 +27,8 @@ from .constraints import (
 )
 from .encoding import LeakageError, LogicalGateID, braid_generator_tableaux, build_encoding, \
     controlled_shift_word, entangling_words, identify_gate, logical_tableau, parity_conjugation_table
-from .parafermions import build_parafermions, check_defining_relations, check_parity_algebra, \
-    label_supports, parity, parity_eigenbasis
+from .parafermions import build_parafermions, check_defining_relations, check_parity_algebra, parity, \
+    parity_eigenbasis
 from .report import Check, RunReport, count_check, flag_check
 from .solver import SolverConfig, combined_residuals, solve_all
 from .systems import QuditSystem, SizeBoundError, embed, embed_vector, monomial_spectrum
@@ -63,7 +63,7 @@ def cmd_algebra(d: int, pairs: int) -> RunReport:
     out.add(Check("parity_exchange_algebra", algebra.max_residual, 1e-12))
 
     # each parity as a phased permutation: spectrum from tr(Lambda**m), eigenvectors by a scatter
-    supports = list(zip(*label_supports(sys_.system, sys_.parities)))
+    supports = sys_.parity_supports
     bad_multiplicity = sum(np.any(monomial_spectrum(lam, d) != d ** (pairs - 1)) for lam in supports)
     out.add(count_check("parity_spectrum_multiplicity", bad_multiplicity, 0))
 

@@ -35,7 +35,7 @@ from .constraints import FZCParams
 from .parafermions import ParafermionSystem, build_parafermions, label_supports, parity_eigenbasis, \
     parity_label
 from .phases import CyclotomicPhase, phase_from_complex
-from .systems import DenseOperator, QuditSystem, pauli_x, pauli_z
+from .systems import DenseOperator, QuditSystem, monomial_support
 
 LEAKAGE_TOL = 1e-10
 ENCODING_TOL = 1e-12
@@ -79,14 +79,19 @@ def _validate_encoding(enc: Encoding) -> None:
     if gram_defect > ENCODING_TOL:
         raise AssertionError(f"encoding columns not orthonormal: {gram_defect:.3e}")
     rows, roots = label_supports(sys_.system, [label for labels in sys_.code_layout for label in labels])
-    for q in range(1, len(sys_.code_layout) + 1):
-        targets = (pauli_z(logical, q).mat, pauli_x(logical, q).mat, np.eye(logical.dim))
-        for c, target in enumerate(targets, start=3 * q - 3):
-            image = np.empty_like(e)
-            image[rows[c]] = roots[c][:, None] * e
-            defect = float(np.max(np.abs(image - e @ target)))
-            if defect > ENCODING_TOL:
-                raise AssertionError(f"qudit {q}: a code parity misses its target on E: {defect:.3e}")
+    # the targets Z_q, X_q and 1 of every q, in the code parities' order, as phased permutations:
+    # column k of E @ target is E's column target_rows[k] times target_roots[k]
+    m = logical.n
+    unit, zero = np.eye(m, dtype=int)[:, :, None], np.zeros((m, m, 1), dtype=int)
+    x = np.concatenate([zero, unit, zero], axis=2).reshape(m, 3 * m, 1)
+    z = np.concatenate([unit, zero, zero], axis=2).reshape(m, 3 * m, 1)
+    target_rows, target_roots = monomial_support(logical, x, z)
+    for c in range(3 * m):
+        image = np.empty_like(e)
+        image[rows[c]] = roots[c][:, None] * e
+        defect = float(np.max(np.abs(image - e[:, target_rows[c]] * target_roots[c])))
+        if defect > ENCODING_TOL:
+            raise AssertionError(f"qudit {c // 3 + 1}: a code parity misses its target on E: {defect:.3e}")
 
 
 def restrict_word(enc: Encoding, word: BraidWord) -> tuple[DenseOperator, float]:

@@ -92,6 +92,11 @@ class ParafermionSystem:
         return tuple(zip(*label_supports(self.system, self.labels)))
 
     @cached_property
+    def parity_supports(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The monomial_support rows and roots of Lambda_1 .. Lambda_(2n-1), built on first use."""
+        return tuple(zip(*label_supports(self.system, self.parities)))
+
+    @cached_property
     def code_layout(self) -> tuple[tuple[PauliLabel, PauliLabel, PauliLabel], ...]:
         """(Z_L, X_L, stabilizer) of each logical qudit, one per parafermion quadruplet:
         Lambda_(4q-3), Lambda_(4q-2) and Lambda_(4q-3) Lambda_(4q-1)."""
@@ -204,7 +209,7 @@ def check_parity_algebra(sys_: ParafermionSystem) -> ParityAlgebraReport:
     """
     d = sys_.d
     omega = CyclotomicPhase.omega(d).as_complex()
-    parities = list(zip(*label_supports(sys_.system, sys_.parities)))
+    parities = sys_.parity_supports
     far = max((_exchange_defect(la, lb) for a, la in enumerate(parities)
                for lb in parities[a + 2:]), default=0.0)
     adjacent = max((_exchange_defect(la, lb, omega) for la, lb in zip(parities, parities[1:])),

@@ -274,8 +274,14 @@ def _stacked_residual_jacobian(ys: np.ndarray, d: int) -> tuple[np.ndarray, np.n
     v = np.concatenate([ys, np.ones((len(ys), 1))], axis=1)
     r0, r1, r2 = t.res_gather
     j0, j1 = t.jac_gather
-    f = (v[:, r0] * v[:, r1] * v[:, r2]) @ t.res_coef.T
-    jac = ((v[:, j0] * v[:, j1]) @ t.jac_coef.T).reshape(len(ys), -1, 2 * d)
+    # each monomial stack is multiplied in place, in the kernels' factor order
+    mono = v[:, r0]
+    mono *= v[:, r1]
+    mono *= v[:, r2]
+    f = mono @ t.res_coef.T
+    mono = v[:, j0]
+    mono *= v[:, j1]
+    jac = (mono @ t.jac_coef.T).reshape(len(ys), -1, 2 * d)
     return f, jac
 
 
@@ -291,19 +297,27 @@ def _anchored_descent(targets: np.ndarray, d: int) -> np.ndarray:
     ANCHOR_MAX_STEPS steps.
     """
     ys = np.array(targets, dtype=float)
-    damping = ANCHOR_WEIGHT * np.eye(2 * d)
     active = np.arange(len(ys))
     for _ in range(ANCHOR_MAX_STEPS):
         if not active.size:
             break
         y = ys[active]
-        f, jac = _stacked_residual_jacobian(y, d)
-        jac_t = jac.transpose(0, 2, 1)
-        rhs = jac_t @ f[..., None] + ANCHOR_WEIGHT * (y - targets[active])[..., None]
-        step = np.linalg.solve(jac_t @ jac + damping, rhs)[..., 0]
+        step = _anchored_step(y, targets[active], d)
         ys[active] = y - step
         active = active[np.max(np.abs(step), axis=1) > ANCHOR_STEP_TOL]
     return ys
+
+
+def _anchored_step(ys: np.ndarray, targets: np.ndarray, d: int) -> np.ndarray:
+    """One Gauss-Newton step of _anchored_descent at each row of ys.
+
+    The [P, R, 2d] Jacobians are freed on return, so a step never holds
+    them alongside the previous step's.
+    """
+    f, jac = _stacked_residual_jacobian(ys, d)
+    jac_t = jac.transpose(0, 2, 1)
+    rhs = jac_t @ f[..., None] + ANCHOR_WEIGHT * (ys - targets)[..., None]
+    return np.linalg.solve(jac_t @ jac + ANCHOR_WEIGHT * np.eye(2 * d), rhs)[..., 0]
 
 
 def manifold_dimension(vecs: Sequence[CoefficientVector], tol: float = DEFAULT_TOL) -> list[int]:
@@ -317,8 +331,9 @@ def manifold_dimension(vecs: Sequence[CoefficientVector], tol: float = DEFAULT_T
     tol.  The dimension is the rank of the kept displacements, so the
     spurious rank drops at isolated degenerate points of the constraint
     variety (the d = 4 family has four) do not count.  The Jacobians of all
-    inputs are decomposed in one batched SVD, the probes of all of them
-    descend as one stack, and their end points are checked in one pass.
+    inputs are decomposed in one batched reduced SVD (no U is kept), the
+    probes of all of them descend as one stack, each step's Jacobians freed
+    before the next, and their end points are checked in one pass.
     Raises if some input does not satisfy the constraints to tol.
     """
     if not vecs:
@@ -328,7 +343,7 @@ def manifold_dimension(vecs: Sequence[CoefficientVector], tol: float = DEFAULT_T
     if np.any(combined_residuals(cs) > tol):
         raise ValueError("manifold dimension is only defined at a solution")
     us = _split(cs)
-    _, singulars, v_rows = np.linalg.svd(_stacked_residual_jacobian(us, d)[1])
+    singulars, v_rows = np.linalg.svd(_stacked_residual_jacobian(us, d)[1], full_matrices=False)[1:]
     null_masks = singulars < math.sqrt(tol)
     nulls = np.sum(null_masks, axis=1)
     phase_dirs = np.concatenate([-cs.imag, cs.real], axis=1)
@@ -336,7 +351,7 @@ def manifold_dimension(vecs: Sequence[CoefficientVector], tol: float = DEFAULT_T
     # an orthonormal null basis less the phase direction, one QR for all
     # inputs with the same null count; probes as (input, direction)
     owners, dirs = [], []
-    for m in np.unique(nulls[nulls > 1]):
+    for m in sorted(set(nulls[nulls > 1].tolist())):
         ks = np.flatnonzero(nulls == m)
         basis = v_rows[ks][null_masks[ks]].reshape(len(ks), m, 2 * d)
         basis = basis - (basis @ phase_dirs[ks, :, None]) * phase_dirs[ks, None, :]
@@ -359,7 +374,7 @@ def manifold_dimension(vecs: Sequence[CoefficientVector], tol: float = DEFAULT_T
     kept_owners, kept_deltas = owners[kept][order], deltas[kept][order]
     counts = np.bincount(kept_owners, minlength=len(vecs))
     dims = np.zeros(len(vecs), dtype=int)
-    for m in np.unique(counts[counts > 0]):
+    for m in sorted(set(counts[counts > 0].tolist())):
         stack = kept_deltas[counts[kept_owners] == m].reshape(-1, m, 2 * d)
         dims[counts == m] = np.sum(np.linalg.svd(stack, compute_uv=False) >= 0.5, axis=1)
     return dims.tolist()

@@ -209,7 +209,9 @@ def monomial_spectrum(a, d: int) -> np.ndarray:
     cols = np.arange(a[0].size)
     powers = accumulate([a] * (d - 1), monomial_product, initial=(cols, np.ones(cols.size)))
     traces = [roots[rows == cols].sum() for rows, roots in powers]
-    return np.rint(np.fft.fft(traces).real / d).astype(int)
+    k = np.arange(d)
+    dft = np.exp(-2j * np.pi * (np.outer(k, k) % d) / d)
+    return np.rint((dft @ traces).real / d).astype(int)
 
 
 def pauli_monomial(system: QuditSystem, x_exps, z_exps, phase: int = 0) -> DenseOperator:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from parabraid import cli, encoding
+from parabraid import cli, encoding, parafermions
 from parabraid.braiding import BraidRepresentation, BraidWord, canonical_word
 from parabraid.cli import main
 from parabraid.clifford import ClosureResult
@@ -40,6 +40,23 @@ def test_algebra_counts_a_squared_parity_as_bad(monkeypatch):
     checks = {c.name: c.value for c in cli.cmd_algebra(4, 2).checks}
     assert checks["parity_spectrum_multiplicity"] == 1
     assert checks["parity_eigenbasis_action"] > 1e-12
+
+
+def test_algebra_builds_each_support_stack_once(monkeypatch):
+    # the parity supports are one cached property, read by cmd_algebra and check_parity_algebra
+    calls = []
+    original = parafermions.label_supports
+
+    def counting(system, labels):
+        calls.append(tuple(labels))
+        return original(system, labels)
+
+    for module in (parafermions, cli):
+        if hasattr(module, "label_supports"):
+            monkeypatch.setattr(module, "label_supports", counting)
+    assert cli.cmd_algebra(3, 2).passed
+    sys_ = build_parafermions(3, 2)
+    assert calls == [sys_.labels, sys_.parities]
 
 
 def test_usage_error_exit_code():

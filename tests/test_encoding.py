@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from functools import lru_cache
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parabraid import encoding, systems
 from parabraid.braiding import BraidWord, braid_tableau, canonical_word, diagonal_phases
 from parabraid.clifford import PauliLabel, clifford_membership
 from parabraid.constraints import FZCParams, dft_prefactor
@@ -21,7 +23,7 @@ from parabraid.encoding import (
     restrict_word,
 )
 from parabraid.parafermions import build_parafermions, parity
-from parabraid.systems import controlled_phase, controlled_shift, equal_up_to_phase, fourier_gate
+from parabraid.systems import controlled_phase, controlled_shift, equal_up_to_phase, fourier_gate, pauli_z
 
 from oracles import dense_braid_tableaux, dense_compose_braid, dense_restrict_words, gate_dictionary_list, \
     identify_in_list, restrict
@@ -40,6 +42,34 @@ def test_encoding_restriction_dictionary(d):
 def test_two_qudit_encoding_dimensions():
     enc = build_encoding(3, 2, r=0)
     assert enc.isometry.shape == (81, 9)
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_encoding_validation_builds_no_dense_paulis(monkeypatch, d, n):
+    # the logical targets Z_q and X_q are checked as phased permutations of E's columns
+    calls = []
+    for module in (systems, encoding):
+        for name in ("pauli_x", "pauli_z"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
+    build_encoding(d, n)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_encoding_validation_rejects_permuted_columns(n):
+    # swapping |0..0> and |10..0> keeps E an isometry, but Z_L no longer acts on it as Z_1
+    enc = build_encoding(3, n)
+    order = np.arange(3 ** n)
+    order[[0, 3 ** (n - 1)]] = order[[3 ** (n - 1), 0]]
+    swapped = enc.isometry[:, order]
+    with pytest.raises(AssertionError, match="qudit 1: a code parity misses its target on E"):
+        encoding._validate_encoding(dataclasses.replace(enc, isometry=swapped))
+    # the same equalities, checked densely, agree that the unswapped E passes and the swapped one fails
+    for e, holds in ((enc.isometry, True), (swapped, False)):
+        images = [parity(enc.rep.system, 1).mat @ e, e @ pauli_z(enc.logical_system, 1).mat]
+        assert (np.max(np.abs(images[0] - images[1])) <= encoding.ENCODING_TOL) == holds
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))

@@ -15,6 +15,8 @@ not a use.  Dunder names are exempt.
 
 Every parameter of a function under src/ is read in its body, nested
 functions and lambdas included; ``self`` and ``cls`` are exempt.
+
+No module under src/ calls ``np.unique``, ``np.fft.*`` or ``np.ma.*``.
 """
 
 import ast
@@ -170,3 +172,48 @@ def test_checker_flags_an_unused_parameter():
     )
     assert unused_parameters(source) == ["line 2: size(scale)", "line 4: make(kwargs)",
                                          "line 5: identify(tol)", "line 8: lambda(b)"]
+
+
+def dotted_name(node: ast.AST) -> str | None:
+    """'np.fft.fft' for the attribute chain np.fft.fft, None for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def numpy_submodule_calls(source: str) -> list[str]:
+    """Calls that load numpy submodules the engine otherwise never needs: np.unique imports
+    numpy.ma (numpy >= 2.3), and np.fft.* and np.ma.* import their packages."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        name = dotted_name(node.func) if isinstance(node, ast.Call) else None
+        if name is None:
+            continue
+        root, _, rest = name.partition(".")
+        if root in ("np", "numpy") and (rest == "unique" or rest.startswith(("fft.", "ma."))):
+            out.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(out)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_submodule_calls(path):
+    assert numpy_submodule_calls(path.read_text(encoding="utf-8")) == [], (
+        "these calls load numpy.ma or numpy.fft, which the engine otherwise never imports; "
+        "use clifford._sorted_unique for large arrays, sorted(set(...)) for a few ints, and a "
+        "root-of-unity product for a short DFT")
+
+
+def test_checker_flags_numpy_submodule_calls():
+    source = (
+        "import numpy as np\n"
+        "a = np.unique([3, 1, 3])\n"
+        "b = np.fft.fft(a).real\n"
+        "c = numpy.ma.is_masked(a)\n"
+        "d = np.sort(np.asarray(a))\n"
+        "e = sorted(set([3, 1, 3]))\n"
+        "f = keys.unique()\n"
+    )
+    assert numpy_submodule_calls(source) == ["line 2: np.unique", "line 3: np.fft.fft",
+                                             "line 4: numpy.ma.is_masked"]

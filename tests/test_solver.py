@@ -363,6 +363,19 @@ def test_scipy_imported_on_first_solve():
     )
 
 
+def test_algebra_and_solve_load_no_numpy_ma_or_fft():
+    # np.unique imports numpy.ma and an FFT imports numpy.fft; the engine needs neither
+    _run_script(
+        "import sys\n"
+        "from parabraid.cli import cmd_algebra\n"
+        "from parabraid.solver import SolverConfig, solve_all\n"
+        "cmd_algebra(3, 2)\n"
+        "solve_all(SolverConfig(4, restarts=20, seed=1))\n"
+        "loaded = sorted({'numpy.ma', 'numpy.fft'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+
+
 def test_scipy_optimize_imported_after_a_solve_shares_minpack():
     # scipy.optimize imported after the solver loaded MINPACK uses the same
     # module: its least_squares(method="lm") gives the same descents, and a
