@@ -297,27 +297,21 @@ def _anchored_descent(targets: np.ndarray, d: int) -> np.ndarray:
     ANCHOR_MAX_STEPS steps.
     """
     ys = np.array(targets, dtype=float)
+    damping = ANCHOR_WEIGHT * np.eye(2 * d)
     active = np.arange(len(ys))
     for _ in range(ANCHOR_MAX_STEPS):
         if not active.size:
             break
         y = ys[active]
-        step = _anchored_step(y, targets[active], d)
+        f, jac = _stacked_residual_jacobian(y, d)
+        jac_t = jac.transpose(0, 2, 1)
+        rhs = jac_t @ f[..., None] + ANCHOR_WEIGHT * (y - targets[active])[..., None]
+        step = np.linalg.solve(jac_t @ jac + damping, rhs)[..., 0]
         ys[active] = y - step
         active = active[np.max(np.abs(step), axis=1) > ANCHOR_STEP_TOL]
+        # the [P, R, 2d] Jacobians go before the next step builds its own
+        del f, jac, jac_t, rhs
     return ys
-
-
-def _anchored_step(ys: np.ndarray, targets: np.ndarray, d: int) -> np.ndarray:
-    """One Gauss-Newton step of _anchored_descent at each row of ys.
-
-    The [P, R, 2d] Jacobians are freed on return, so a step never holds
-    them alongside the previous step's.
-    """
-    f, jac = _stacked_residual_jacobian(ys, d)
-    jac_t = jac.transpose(0, 2, 1)
-    rhs = jac_t @ f[..., None] + ANCHOR_WEIGHT * (ys - targets)[..., None]
-    return np.linalg.solve(jac_t @ jac + ANCHOR_WEIGHT * np.eye(2 * d), rhs)[..., 0]
 
 
 def manifold_dimension(vecs: Sequence[CoefficientVector], tol: float = DEFAULT_TOL) -> list[int]:
