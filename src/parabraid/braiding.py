@@ -33,7 +33,7 @@ from .constraints import CoefficientVector, FZCParams, dft_prefactor, fzc_coeffi
 from .clifford import CliffordTableau, _times_power, symplectic_product
 from .parafermions import ParafermionSystem, build_parafermions, parity_eigenbasis, parity_label
 from .phases import CyclotomicPhase, phase_from_complex
-from .systems import DenseOperator, embed_vector, equal_up_to_phase
+from .systems import DenseOperator, embed_vector, equal_up_to_phase, size_bound
 
 BUILD_TOL = 1e-12
 
@@ -182,7 +182,7 @@ class BraidRepresentation:
 
     def generator(self, i: int) -> DenseOperator:
         """Dense U_i, applied to the identity."""
-        eye = np.eye(self.system.system.dim, dtype=complex)
+        eye = np.eye(*size_bound(self.system.system.dim, self.system.system.dim), dtype=complex)
         return DenseOperator(self.apply(i, +1, eye), self.system.d, self.system.n_pairs)
 
 
@@ -207,7 +207,7 @@ def _weyl_residuals(c: np.ndarray, s: int) -> tuple[float, float]:
 
 def compose_braid(rep: BraidRepresentation, word: BraidWord) -> DenseOperator:
     """Unitary of a braid word under the time-order convention: its letters applied to I."""
-    out = np.eye(rep.system.system.dim, dtype=complex)
+    out = np.eye(*size_bound(rep.system.system.dim, rep.system.system.dim), dtype=complex)
     for idx, exp in word.entries:
         out = rep.apply(idx, exp, out)
     return DenseOperator(out, rep.system.d, rep.system.n_pairs)

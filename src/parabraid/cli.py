@@ -31,7 +31,7 @@ from .parafermions import build_parafermions, check_defining_relations, check_pa
     parity_eigenbasis
 from .report import Check, RunReport, count_check, flag_check
 from .solver import SolverConfig, combined_residuals, solve_all
-from .systems import QuditSystem, SizeBoundError, embed, embed_vector, monomial_spectrum
+from .systems import SizeBoundError, embed, embed_vector, monomial_spectrum, size_bound
 
 DEFAULT_SEED = 12345
 DEFAULT_RESTARTS_FOR_REPORT = 2000
@@ -42,7 +42,7 @@ NAMED_BRAIDS = {"F": "F", "S": "S", "T": "T", "Sdag": "S_dagger"}
 def cmd_algebra(d: int, pairs: int) -> RunReport:
     out = RunReport("algebra", {"d": d, "pairs": pairs})
     t0 = time.perf_counter()
-    QuditSystem(d, pairs)  # a dense suite: apply the size bound before the build
+    size_bound(d ** pairs, d ** pairs)  # a dense suite: apply the size bound before the build
     sys_ = build_parafermions(d, pairs)
     out.add(Check("defining_relations", check_defining_relations(sys_), 1e-12))
 
@@ -167,6 +167,8 @@ def cmd_gates(d: int, r: int, braid: str) -> tuple[RunReport, dict]:
     name, word = _resolve_word(braid, d)
     if word.max_index() > 7:
         raise ValueError(f"generator index {word.max_index()} is out of range 1..7 (8 parafermions)")
+    if not 0 <= r < d:
+        raise ValueError(f"representation parameter r = {r} is out of range 0..{d - 1}")
     out = RunReport("gates", {"d": d, "r": r, "braid": braid})
     t0 = time.perf_counter()
     n_logical = 2 if word.max_index() > 3 else 1

@@ -35,7 +35,7 @@ from .constraints import FZCParams
 from .parafermions import ParafermionSystem, build_parafermions, label_supports, parity_eigenbasis, \
     parity_label
 from .phases import CyclotomicPhase, phase_from_complex
-from .systems import DenseOperator, QuditSystem, monomial_support
+from .systems import DenseOperator, QuditSystem, monomial_support, size_bound
 
 LEAKAGE_TOL = 1e-10
 ENCODING_TOL = 1e-12
@@ -57,13 +57,14 @@ def build_encoding(d: int, n_logical: int, r: int = 0, sign: int = +1) -> Encodi
     """Encode n_logical qudits, carrying the braid representation (r, sign).
 
     Qudit q uses parafermions 4q-3..4q, so the isometry has d**(2 n_logical)
-    rows and the dense size bound applies to it.
+    rows and d**n_logical columns, which the size bound counts before it is built.
     """
     rep = BraidRepresentation.from_fzc(d, 2 * n_logical, r, sign)
     # Column k of a qudit's block is |k> (x) |d-k> in the eigenbases of Lambda_(4q-3) and
     # Lambda_(4q-1), both the Fourier columns; qudit 1 is the most significant factor.
     f = parity_eigenbasis(rep.system, 1).vectors
     block = (f[:, None, :] * f[None, :, -np.arange(d) % d]).reshape(d * d, d)
+    size_bound(d ** (2 * n_logical), d ** n_logical)
     isometry = reduce(np.kron, [block] * n_logical)
     isometry.setflags(write=False)
     enc = Encoding(d, n_logical, rep, isometry, QuditSystem(d, n_logical))

@@ -45,7 +45,7 @@ class ParafermionSystem:
 
     @property
     def system(self) -> QuditSystem:
-        """The dense qudit space; the size bound applies here, not to the labels."""
+        """The qudit register; the size bound applies to the arrays allocated over it, not to the labels."""
         return QuditSystem(self.d, self.n_pairs)
 
     @cached_property

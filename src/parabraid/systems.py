@@ -16,25 +16,28 @@ from itertools import accumulate
 import numpy as np
 
 DEFAULT_TOL = 1e-10
-SIZE_BOUND_ENV = "PARABRAID_SIZE_BOUND"
-DEFAULT_SIZE_BOUND = 4096
 
 
 class SizeBoundError(ValueError):
-    """Raised when a requested space exceeds the configured desk-scale bound."""
+    """Raised when an array over a register would exceed the configured desk-scale bound."""
 
 
-def size_bound() -> int:
-    """Current d**n cap; override with the PARABRAID_SIZE_BOUND env var."""
-    raw = os.environ.get(SIZE_BOUND_ENV, str(DEFAULT_SIZE_BOUND))
+def size_bound(*shape: int) -> tuple[int, ...]:
+    """Return shape unless an array of that shape over a register would hold over B**2 entries, B the
+    PARABRAID_SIZE_BOUND env var (default 4096, one D x D matrix at D = 4096), read here and nowhere else."""
+    raw = os.environ.get("PARABRAID_SIZE_BOUND", "4096")
     if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"{SIZE_BOUND_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
+        raise ValueError(f"PARABRAID_SIZE_BOUND must be a positive integer, got {raw!r}")
+    entries = math.prod(shape)
+    if entries > int(raw) ** 2:  # str() refuses an int past 4,300 digits: show such a count as a power
+        count = entries if entries < 10**100 else f"about 10**{math.log10(entries):.0f}"
+        raise SizeBoundError(f"{count} entries exceed the bound {int(raw)}**2 = {int(raw) ** 2}")
+    return shape
 
 
 @dataclass(frozen=True)
 class QuditSystem:
-    """n qudits of dimension d, total space dimension d**n."""
+    """n qudits of dimension d, total space dimension d**n; arrays over it are bounded by size_bound."""
 
     d: int
     n: int
@@ -44,10 +47,6 @@ class QuditSystem:
             raise ValueError(f"qudit dimension must be >= 2, got {self.d}")
         if self.n < 1:
             raise ValueError(f"qudit count must be >= 1, got {self.n}")
-        if self.d**self.n > size_bound():
-            raise SizeBoundError(
-                f"space dimension {self.d}**{self.n} exceeds the bound {size_bound()}"
-            )
 
     @property
     def dim(self) -> int:
@@ -92,7 +91,7 @@ class DenseOperator:
 
     @classmethod
     def identity(cls, system: QuditSystem) -> "DenseOperator":
-        return cls(np.eye(system.dim), system.d, system.n)
+        return cls(np.eye(*size_bound(system.dim, system.dim)), system.d, system.n)
 
     def _like(self, mat: np.ndarray) -> "DenseOperator":
         return DenseOperator(mat, self.d, self.n)
@@ -123,10 +122,6 @@ class DenseOperator:
         return f"DenseOperator(dim={self.dim}, d={self.d}, n={self.n})"
 
 
-def kron_all(mats) -> np.ndarray:
-    return reduce(np.kron, mats)
-
-
 def embed(system: QuditSystem, i: int, local: np.ndarray) -> DenseOperator:
     """Place a d**k x d**k block on qudits i..i+k-1 (1-based), identity elsewhere.
 
@@ -139,9 +134,9 @@ def embed(system: QuditSystem, i: int, local: np.ndarray) -> DenseOperator:
         raise ValueError(f"block size {local.shape[0]} is not a power of d = {system.d}")
     if not 1 <= i <= system.n - k + 1:
         raise IndexError(f"a {k}-qudit block at qudit {i} does not fit in 1..{system.n}")
-    left = np.eye(system.d ** (i - 1))
-    right = np.eye(system.d ** (system.n - i - k + 1))
-    return DenseOperator(kron_all([left, local, right]), system.d, system.n)
+    size_bound(system.dim, system.dim)
+    left, right = np.eye(system.d ** (i - 1)), np.eye(system.d ** (system.n - i - k + 1))
+    return DenseOperator(reduce(np.kron, [left, local, right]), system.d, system.n)
 
 
 def embed_vector(system: QuditSystem, i: int, local: np.ndarray) -> np.ndarray:
@@ -149,8 +144,9 @@ def embed_vector(system: QuditSystem, i: int, local: np.ndarray) -> np.ndarray:
     |0> on every other qudit."""
     if not 1 <= i <= system.n:
         raise IndexError(f"qudit index {i} out of range 1..{system.n}")
+    size_bound(system.dim, np.size(local) // system.d)
     ground = np.eye(system.d)[:, 0].reshape((-1,) + (1,) * (np.ndim(local) - 1))
-    return kron_all([local if q == i else ground for q in range(1, system.n + 1)])
+    return reduce(np.kron, [local if q == i else ground for q in range(1, system.n + 1)])
 
 
 def _unit(system: QuditSystem, i: int) -> tuple[int, ...]:
@@ -179,6 +175,7 @@ def monomial_support(system: QuditSystem, x_exps, z_exps, phase: int = 0) -> tup
     d, n, dim = system.d, system.n, system.dim
     if len(x_exps) != n or len(z_exps) != n:
         raise ValueError(f"exponent vectors need length n = {n}, got {len(x_exps)} and {len(z_exps)}")
+    size_bound(np.broadcast(x_exps[0], z_exps[0], phase).size, dim)  # k monomials of dim entries
     cols = np.arange(dim)
     rows, exps, place = 0 * cols, phase + 0 * cols, dim
     for a, b in zip(x_exps, z_exps):
@@ -217,7 +214,7 @@ def monomial_spectrum(a, d: int) -> np.ndarray:
 def pauli_monomial(system: QuditSystem, x_exps, z_exps, phase: int = 0) -> DenseOperator:
     """exp(i*pi*phase/d) prod_i X_i**x_i Z_i**z_i, built as the phased permutation it is."""
     rows, roots = monomial_support(system, x_exps, z_exps, phase)
-    mat = np.zeros((system.dim, system.dim), dtype=complex)
+    mat = np.zeros(size_bound(system.dim, system.dim), dtype=complex)
     mat[rows, np.arange(system.dim)] = roots
     return DenseOperator(mat, system.d, system.n)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from parabraid.clifford import ClosureResult
 from parabraid.constraints import FZCParams, fzc_coefficients
 from parabraid.parafermions import build_parafermions
 from parabraid.report import load_schema, markdown_summary, validate_schema
-from parabraid.systems import DenseOperator
+from parabraid.systems import DenseOperator, SizeBoundError
 
 
 def run_cli(argv):
@@ -122,6 +123,58 @@ def test_gates_generator_index_out_of_range_is_usage_error(monkeypatch, capsys):
     assert "generator index 9 is out of range 1..7" in capsys.readouterr().err
     with pytest.raises(AssertionError, match="encoding built"):
         run_cli(["gates", "--d", "3", "--braid", "7"])
+
+
+def test_gates_r_out_of_range_is_usage_error(monkeypatch, capsys):
+    # FZCParams reduces r mod d, so r = 7 at d = 3 would run at r = 1 and report "r": 7
+    def no_build(*args, **kwargs):
+        raise AssertionError("encoding built before the r check")
+
+    monkeypatch.setattr(cli, "build_encoding", no_build)
+    for r in ("7", "3", "-1"):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["gates", "--d", "3", "--r", r, "--braid", "F"])
+        assert err.value.code == 2
+        assert f"r = {r} is out of range 0..2" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="encoding built"):
+        run_cli(["gates", "--d", "3", "--r", "2", "--braid", "F"])
+
+
+def test_gates_d9_entangler_passes_under_the_default_bound(monkeypatch, capsys):
+    # D = 9**4 = 6,561 states, but only 6,561 x 81 blocks and [63, 6,561] supports are built
+    monkeypatch.delenv("PARABRAID_SIZE_BOUND", raising=False)
+    assert run_cli(["gates", "--d", "9", "--braid", "S"]) == 0
+    assert "[PASS] gates: 3/3 checks" in capsys.readouterr().out
+
+
+def test_gates_over_budget_isometry_is_refused_before_any_allocation(monkeypatch, capsys):
+    # at d = 20 the isometry is 160,000 x 400 = 64M entries, over 4096**2; a complex array that
+    # size is 1 GB, so a tracemalloc peak of a few MB shows nothing over budget was built first
+    monkeypatch.delenv("PARABRAID_SIZE_BOUND", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBoundError, match=r"64000000 entries exceed the bound 4096\*\*2 = 16777216"):
+            cli.cmd_gates(20, 0, "S")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    with pytest.raises(SystemExit) as err:
+        run_cli(["gates", "--d", "20", "--braid", "S"])
+    assert err.value.code == 2
+    assert "64000000 entries exceed the bound" in capsys.readouterr().err
+
+
+def test_algebra_over_budget_register_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["algebra", "--d", "9", "--pairs", "4"])
+    assert err.value.code == 2
+    assert "43046721 entries exceed the bound 4096**2 = 16777216" in capsys.readouterr().err
+    # 2**200000 entries have 60,206 digits, past Python's int-to-str limit
+    with pytest.raises(SystemExit) as err:
+        run_cli(["algebra", "--d", "2", "--pairs", "100000"])
+    assert err.value.code == 2
+    assert "about 10**60206 entries exceed the bound 4096**2" in capsys.readouterr().err
 
 
 def test_report_all_rejects_jobs(tmp_path):

@@ -17,6 +17,9 @@ Every parameter of a function under src/ is read in its body, nested
 functions and lambdas included; ``self`` and ``cls`` are exempt.
 
 No module under src/ calls ``np.unique``, ``np.fft.*`` or ``np.ma.*``.
+
+``systems.size_bound`` is the one place under src/ that reads ``os.environ``
+or ``os.getenv``, so the engine has exactly one environment knob.
 """
 
 import ast
@@ -217,3 +220,46 @@ def test_checker_flags_numpy_submodule_calls():
     )
     assert numpy_submodule_calls(source) == ["line 2: np.unique", "line 3: np.fft.fft",
                                              "line 4: numpy.ma.is_masked"]
+
+
+def environment_reads(source: str) -> list[str]:
+    """Each os.environ or os.getenv access, and each import of either from os, as
+    'line N: scope: name', scope the enclosing def or class path or <module>."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and dotted_name(child) in ("os.environ", "os.getenv"):
+                out.append((child.lineno, scope, dotted_name(child)))
+            elif isinstance(child, ast.ImportFrom) and child.module == "os":
+                out.extend((child.lineno, scope, f"os.{alias.name}") for alias in child.names
+                           if alias.name in ("environ", "getenv"))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return [f"line {line}: {scope}: {name}" for line, scope, name in sorted(out)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_size_bound_reads_the_environment(path):
+    reads = [read.split(": ", 1)[1] for read in environment_reads(path.read_text(encoding="utf-8"))]
+    assert reads == (["size_bound: os.environ"] if path.name == "systems.py" else []), (
+        "the engine has one environment knob, PARABRAID_SIZE_BOUND, read by systems.size_bound")
+
+
+def test_checker_flags_environment_reads():
+    source = (
+        "import os\n"
+        "from os import environ, path\n"
+        "DEBUG = os.getenv('DEBUG')\n"
+        "class Config:\n"
+        "    def load(self):\n"
+        "        return os.environ.get('X', os.sep)\n"
+        "def bound():\n"
+        "    return int(os.environ['B']) + len(path.sep)\n"
+    )
+    assert environment_reads(source) == ["line 2: <module>: os.environ", "line 3: <module>: os.getenv",
+                                         "line 6: Config.load: os.environ", "line 8: bound: os.environ"]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parabraid.clifford import PauliLabel
+from parabraid.encoding import build_encoding
 from parabraid.systems import (
     DenseOperator,
     QuditSystem,
@@ -10,6 +11,7 @@ from parabraid.systems import (
     controlled_phase,
     controlled_shift,
     embed,
+    embed_vector,
     equal_up_to_phase,
     fourier_gate,
     monomial_diff,
@@ -18,6 +20,7 @@ from parabraid.systems import (
     pauli_monomial,
     pauli_x,
     pauli_z,
+    size_bound,
 )
 
 from oracles import (commutator_with_monomial, is_phased_permutation, is_unitary, pauli_monomial_kron,
@@ -74,10 +77,29 @@ def test_basis_index_convention():
 
 
 def test_size_bound(monkeypatch):
-    with pytest.raises(SizeBoundError):
-        QuditSystem(2, 13)
+    # the register itself is a plain (d, n) value; a dense 8,192 x 8,192 build on it is over 4096**2.
+    # The override lifts the bound on that shape; the build itself is not run lifted: with numpy's
+    # huge pages its scatter touches every page of the 1 GB matrix.
+    system = QuditSystem(2, 13)
+    with pytest.raises(SizeBoundError, match="67108864 entries"):
+        pauli_z(system, 13)
     monkeypatch.setenv("PARABRAID_SIZE_BOUND", "10000")
-    QuditSystem(2, 13)
+    assert size_bound(system.dim, system.dim) == (8192, 8192)
+
+
+def test_size_bound_counts_the_entries_allocated(monkeypatch):
+    # a budget of 50**2 = 2,500 entries: the d = 3 two-qudit encoding holds an 81 x 9 isometry and
+    # [6, 81] code supports, so it builds, while a dense 81 x 81 Pauli on the same register does not
+    monkeypatch.setenv("PARABRAID_SIZE_BOUND", "50")
+    enc = build_encoding(3, 2)
+    assert enc.isometry.shape == (81, 9)
+    with pytest.raises(SizeBoundError, match="6561 entries exceed the bound 50"):
+        pauli_x(QuditSystem(3, 4), 1)
+    # embed_vector counts its columns: one 2,187-vector fits, a 2,187 x 3 block does not
+    wide = QuditSystem(3, 7)
+    assert embed_vector(wide, 1, np.eye(3)[:, 0]).shape == (2187,)
+    with pytest.raises(SizeBoundError, match="6561 entries"):
+        embed_vector(wide, 1, np.eye(3))
 
 
 def test_embed_places_blocks_on_consecutive_qudits():
